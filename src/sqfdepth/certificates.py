@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import TheoremViolationError
-from .linalg import GF2, RATIONALS, FieldSpec, rank
+from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import Monomial, QuotientInstance
 from .poset import alpha_table, enumerate_quotient, rho
 from .stanley import IntervalPartition, stanley_depth
-from .strands import build_strand, exact_depth_multi
+from .strands import RankCache, build_strand, exact_depth_multi, strand_rank
 
 LOWER_BOUND = "lower_bound"
 BASE_DROP = "base_drop"
@@ -196,7 +196,9 @@ def check_layer_sandwich(inst: QuotientInstance, depth: int) -> Certificate:
     )
 
 
-def check_rank_split(inst: QuotientInstance, field: FieldSpec, depth: int) -> list[Certificate]:
+def check_rank_split(
+    inst: QuotientInstance, field: FieldSpec, depth: int, ranks: RankCache | None = None
+) -> list[Certificate]:
     """Rank decomposition of each full-strand layer, one certificate per offset i.
 
     At the full multidegree, the boundary leaving the degree-(d+i) layer
@@ -204,14 +206,20 @@ def check_rank_split(inst: QuotientInstance, field: FieldSpec, depth: int) -> li
     n-d-i+1.  Whenever depth > d+i the layer size r = rho_{d+i} must equal
     the sum of those two ranks (exactness); a strict surplus instead
     certifies depth <= d+i.
+
+    Ranks come from :func:`strand_rank`; pass the ``ranks`` dict that
+    :func:`exact_depth_multi` filled to reuse what the depth scan already
+    computed on the full strand.
     """
     n, d = inst.n, inst.d
     full = build_strand(inst, Monomial(n, (1 << n) - 1))
+    if ranks is None:
+        ranks = {}
     out = []
     for i in range(0, n - d):
         r = rho(inst, d + i)
-        rank_out = rank(full.boundary(n - d - i), field)
-        rank_in = rank(full.boundary(n - d - i + 1), field)
+        rank_out = strand_rank(full, n - d - i, field, ranks)
+        rank_in = strand_rank(full, n - d - i + 1, field, ranks)
         numbers = {"i": i, "r": r, "rank_in": rank_in, "rank_out": rank_out, "depth": depth}
         if depth > d + i:
             if r != rank_in + rank_out:
@@ -240,6 +248,16 @@ def check_rank_split(inst: QuotientInstance, field: FieldSpec, depth: int) -> li
             cert = Certificate(kind=RANK_SPLIT, fired=False, t=d + i, field=field, numbers=numbers)
         out.append(cert)
     return out
+
+
+def counting_certificates(inst: QuotientInstance) -> list[Certificate]:
+    """The certificates read off rho and alpha alone, in report order."""
+    return [
+        check_lower_bound(inst),
+        check_base_drop(inst),
+        *check_alternating_drop(inst),
+        check_principal_gap(inst),
+    ]
 
 
 @dataclass
@@ -300,20 +318,13 @@ def analyze(
     """
     field_list = tuple(dict.fromkeys(fields)) or (RATIONALS,)
     table = alpha_table(inst)
-    depths_by_field = exact_depth_multi(inst, field_list)
+    ranks: RankCache = {}
+    depths_by_field = exact_depth_multi(inst, field_list, ranks)
     depths = {f.label: v for f, v in depths_by_field.items()}
 
     inconsistencies: list[str] = []
-    findings: list[str] = []
-    certificates: list[Certificate] = []
-
-    lower = check_lower_bound(inst)
-    certificates.append(lower)
-    if lower.warning:
-        findings.append(lower.warning)
-    certificates.append(check_base_drop(inst))
-    certificates.extend(check_alternating_drop(inst))
-    certificates.append(check_principal_gap(inst))
+    certificates = counting_certificates(inst)
+    findings = [c.warning for c in certificates if c.warning]
     for f in field_list:
         depth_f = depths_by_field[f]
         try:
@@ -323,7 +334,7 @@ def analyze(
         except TheoremViolationError as exc:
             inconsistencies.append(f"{f.label}: {exc}")
         try:
-            certificates.extend(check_rank_split(inst, f, depth_f))
+            certificates.extend(check_rank_split(inst, f, depth_f, ranks))
         except TheoremViolationError as exc:
             inconsistencies.append(f"{f.label}: {exc}")
 

@@ -13,14 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .certificates import (
-    AnalysisReport,
-    analyze,
-    check_alternating_drop,
-    check_base_drop,
-    check_lower_bound,
-    check_principal_gap,
-)
+from .certificates import AnalysisReport, analyze, counting_certificates
 from .errors import InputError, InternalConsistencyError, ValidationError
 from .generate import default_params
 from .instancefile import instance_to_json, parse_instance
@@ -116,9 +109,7 @@ def _cmd_depth(args) -> int:
 def _cmd_bounds(args) -> int:
     inst = _read_instance(args.instance)
     table = alpha_table(inst)
-    certs = [check_lower_bound(inst), check_base_drop(inst)]
-    certs.extend(check_alternating_drop(inst))
-    certs.append(check_principal_gap(inst))
+    certs = counting_certificates(inst)
     _emit({
         "instance": instance_to_json(inst),
         "d": inst.d,
@@ -165,8 +156,8 @@ def _cmd_strands(args) -> int:
             "rows": mat.rows,
             "cols": mat.cols,
             "entries": [list(r) for r in mat.entries],
-            "row_labels": list(mat.row_labels),
-            "col_labels": list(mat.col_labels),
+            "row_labels": [str(m) for m in strand.basis(i - 1)],
+            "col_labels": [str(m) for m in strand.basis(i)],
         }
     _emit({
         "instance": instance_to_json(inst),

@@ -29,7 +29,6 @@ class GeneratorParams:
     gen_count_j: tuple[int, int] = (0, 4)
     degree_i: tuple[int, int] = (1, 3)
     degree_j: tuple[int, int] = (2, 6)
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:

@@ -54,14 +54,6 @@ class FieldSpec:
         return "q" if self.p is None else f"gf:{self.p}"
 
     @classmethod
-    def rationals(cls) -> FieldSpec:
-        return cls()
-
-    @classmethod
-    def prime_field(cls, p: int) -> FieldSpec:
-        return cls(p)
-
-    @classmethod
     def parse(cls, text: str) -> FieldSpec:
         """Parse a field label: "q" or "gf:<p>"."""
         if text == "q":
@@ -82,17 +74,11 @@ GF3 = FieldSpec(3)
 
 @dataclass(frozen=True)
 class SignMatrix:
-    """A dense integer matrix with entries in {-1, 0, +1}.
-
-    Row and column labels document the monomial bases the matrix connects;
-    they play no role in arithmetic.
-    """
+    """A dense integer matrix with entries in {-1, 0, +1}, checked on construction."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
-    row_labels: tuple[str, ...] = ()
-    col_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.entries) != self.rows:
@@ -103,33 +89,17 @@ class SignMatrix:
             for e in r:
                 if e not in (-1, 0, 1):
                     raise InputError(f"entry {e} outside {{-1, 0, +1}}")
-        if self.row_labels and len(self.row_labels) != self.rows:
-            raise InputError("row label count mismatch")
-        if self.col_labels and len(self.col_labels) != self.cols:
-            raise InputError("col label count mismatch")
 
     @classmethod
-    def from_rows(
-        cls,
-        entries: Sequence[Sequence[int]],
-        cols: int | None = None,
-        row_labels: Sequence[str] = (),
-        col_labels: Sequence[str] = (),
-    ) -> SignMatrix:
+    def from_rows(cls, entries: Sequence[Sequence[int]], cols: int | None = None) -> SignMatrix:
         rows = len(entries)
         if cols is None:
             cols = len(entries[0]) if rows else 0
-        return cls(
-            rows=rows,
-            cols=cols,
-            entries=tuple(tuple(int(e) for e in r) for r in entries),
-            row_labels=tuple(row_labels),
-            col_labels=tuple(col_labels),
-        )
+        return cls(rows=rows, cols=cols, entries=tuple(tuple(int(e) for e in r) for r in entries))
 
     def transpose(self) -> SignMatrix:
         flipped = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return SignMatrix(self.cols, self.rows, flipped, self.col_labels, self.row_labels)
+        return SignMatrix(self.cols, self.rows, flipped)
 
 
 def rank_bareiss(entries: Sequence[Sequence[int]]) -> int:

@@ -193,13 +193,3 @@ def stanley_depth(inst: QuotientInstance) -> tuple[int, IntervalPartition]:
         if partition is not None:
             return k, partition
     raise AssertionError("unreachable: singleton partition at k = d always exists")
-
-
-def sdepth_upper_bound(inst: QuotientInstance) -> int:
-    """Cheap cap: no interval top can exceed the largest degree present.
-
-    When rho_{d+2} = 0, gap-freeness empties every layer above d + 1, so
-    this collapses to at most d + 1.
-    """
-    layers = enumerate_quotient(inst)
-    return max(t for t in range(inst.d, inst.n + 1) if layers.layer(t))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import InputError, InternalConsistencyError
-from .linalg import RATIONALS, FieldSpec, SignMatrix, rank
+from .linalg import GF2, RATIONALS, FieldSpec, SignMatrix, rank_bareiss, rank_gf2, rank_mod_p
 from .monomials import Monomial, QuotientInstance, ideal_contains
 from .poset import enumerate_quotient
 
@@ -46,20 +46,26 @@ def boundary_sign(f: Monomial, b: Monomial, ambient: Monomial) -> int:
     return 1 if pos % 2 else -1
 
 
+Rows = tuple[tuple[int, ...], ...]
+
+# Strand ranks of one computation, keyed by (multidegree mask, chain degree, field).
+RankCache = dict[tuple[int, int, FieldSpec], int]
+
+
 @dataclass(frozen=True)
 class StrandComplex:
     """The slice of the Koszul complex at one square-free multidegree.
 
     ``bases[i]`` lists the chain-degree-i basis monomials (the monomials of
     the quotient poset of degree deg(a) - i dividing a) in canonical order.
-    ``boundary(i)`` is the matrix of the differential from chain degree i to
-    i - 1, rows labelled by the target basis; shapes degrade to empty
-    matrices outside the populated range.
+    ``matrices[i]`` holds the differential from chain degree i to i - 1 as
+    bare rows of ints, one tuple per target basis element; ``entries(i)`` and
+    ``boundary(i)`` degrade to empty shapes outside the populated range.
     """
 
     multidegree: Monomial
     bases: tuple[tuple[Monomial, ...], ...]
-    boundaries: tuple[SignMatrix, ...]
+    matrices: tuple[Rows, ...]
 
     def basis(self, i: int) -> tuple[Monomial, ...]:
         if 0 <= i < len(self.bases):
@@ -73,17 +79,18 @@ class StrandComplex:
     def chain_degrees(self) -> range:
         return range(len(self.bases))
 
+    def entries(self, i: int) -> Rows:
+        """Rows of the differential leaving chain degree i (unchecked, hot path)."""
+        if 1 <= i < len(self.matrices):
+            return self.matrices[i]
+        return tuple(() for _ in self.basis(i - 1))
+
     def boundary(self, i: int) -> SignMatrix:
-        if 1 <= i < len(self.boundaries):
-            return self.boundaries[i]
-        return SignMatrix(
-            rows=len(self.basis(i - 1)),
-            cols=len(self.basis(i)),
-            entries=tuple(() for _ in self.basis(i - 1)),
-        )
+        """The differential leaving chain degree i as a checked SignMatrix."""
+        return SignMatrix(rows=len(self.basis(i - 1)), cols=len(self.basis(i)), entries=self.entries(i))
 
 
-def _boundary_matrix(a: Monomial, source: tuple[Monomial, ...], target: tuple[Monomial, ...]) -> SignMatrix:
+def _boundary_rows(a: Monomial, source: tuple[Monomial, ...], target: tuple[Monomial, ...]) -> Rows:
     target_index = {m.mask: k for k, m in enumerate(target)}
     rows = [[0] * len(source) for _ in target]
     for q, f in enumerate(source):
@@ -97,12 +104,7 @@ def _boundary_matrix(a: Monomial, source: tuple[Monomial, ...], target: tuple[Mo
             if k is not None:
                 rows[k][q] = 1 if below % 2 == 0 else -1
             below += 1
-    return SignMatrix.from_rows(
-        rows,
-        cols=len(source),
-        row_labels=tuple(str(m) for m in target),
-        col_labels=tuple(str(m) for m in source),
-    )
+    return tuple(map(tuple, rows))
 
 
 def build_strand(inst: QuotientInstance, a: Monomial) -> StrandComplex:
@@ -110,7 +112,8 @@ def build_strand(inst: QuotientInstance, a: Monomial) -> StrandComplex:
 
     The chain-degree-i basis consists exactly of the quotient-poset monomials
     of degree deg(a) - i dividing a.  An empty strand (all bases empty) is a
-    valid result.
+    valid result.  Matrices are bare int rows; labels are made by callers
+    that print them, from the bases.
     """
     if a.n != inst.n:
         raise InputError(f"multidegree has ambient n={a.n}, instance has n={inst.n}")
@@ -120,43 +123,56 @@ def build_strand(inst: QuotientInstance, a: Monomial) -> StrandComplex:
         tuple(m for m in layers.layer(size - i) if m.mask & ~a.mask == 0)
         for i in range(size + 1)
     )
-    boundaries = [SignMatrix(rows=0, cols=len(bases[0]), entries=())]
-    for i in range(1, size + 1):
-        boundaries.append(_boundary_matrix(a, bases[i], bases[i - 1]))
-    return StrandComplex(multidegree=a, bases=bases, boundaries=tuple(boundaries))
+    matrices = ((),) + tuple(_boundary_rows(a, bases[i], bases[i - 1]) for i in range(1, size + 1))
+    return StrandComplex(multidegree=a, bases=bases, matrices=matrices)
 
 
-def _strand_homology_from_ranks(strand: StrandComplex, ranks: Sequence[int]) -> dict[int, int]:
-    dims: dict[int, int] = {}
-    for i in strand.chain_degrees():
-        r_i = len(strand.basis(i))
-        if r_i == 0:
-            continue
-        out_rank = ranks[i]
-        in_rank = ranks[i + 1] if i + 1 < len(ranks) else 0
-        dim = r_i - out_rank - in_rank
-        if dim < 0:
-            raise InternalConsistencyError(
-                f"negative homology dimension {dim} at {strand.multidegree}, chain degree {i}"
-            )
-        dims[i] = dim
-    return dims
+def strand_rank(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCache) -> int:
+    """Rank over ``field`` of the differential leaving chain degree i, memoized in ``ranks``.
+
+    GF(2) ranks use the bitset route and odd primes modular elimination.
+    Over Q the GF(2) rank is taken first.  Reducing an integer matrix mod p
+    cannot create a nonzero minor, so rank over GF(p) <= rank over Q <=
+    min(rows, cols); a GF(2) rank equal to min(rows, cols) is therefore the
+    rank over Q as well, and Bareiss runs only on the maps where it falls
+    short.
+    """
+    key = (strand.multidegree.mask, i, field)
+    r = ranks.get(key)
+    if r is not None:
+        return r
+    rows = strand.entries(i)
+    short = min(len(rows), len(strand.basis(i)))
+    if short == 0:
+        r = 0
+    elif field.p == 2:
+        r = rank_gf2(rows)
+    elif field.p is not None:
+        r = rank_mod_p(rows, field.p)
+    else:
+        r = strand_rank(strand, i, GF2, ranks)
+        if r < short:
+            r = rank_bareiss(rows)
+    ranks[key] = r
+    return r
 
 
-def _boundary_ranks(strand: StrandComplex, field: FieldSpec) -> list[int]:
-    # ranks[i] = rank of the boundary from chain degree i to i-1; index 0 is the zero map.
-    top = len(strand.bases) - 1
-    ranks = [0] * (top + 2)
-    for i in range(1, top + 1):
-        if strand.basis(i) and strand.basis(i - 1):
-            ranks[i] = rank(strand.boundary(i), field)
-    return ranks
+def _homology_dim(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCache) -> int:
+    dim = len(strand.basis(i)) - strand_rank(strand, i, field, ranks) - strand_rank(strand, i + 1, field, ranks)
+    if dim < 0:
+        raise InternalConsistencyError(
+            f"negative homology dimension {dim} at {strand.multidegree}, chain degree {i}"
+        )
+    return dim
+
+
+def _strand_homology(strand: StrandComplex, field: FieldSpec, ranks: RankCache) -> dict[int, int]:
+    return {i: _homology_dim(strand, i, field, ranks) for i in strand.chain_degrees() if strand.basis(i)}
 
 
 def strand_homology(inst: QuotientInstance, a: Monomial, field: FieldSpec = RATIONALS) -> dict[int, int]:
     """Homology dimension per chain degree with nonempty basis: r - rank(in) - rank(out)."""
-    strand = build_strand(inst, a)
-    return _strand_homology_from_ranks(strand, _boundary_ranks(strand, field))
+    return _strand_homology(build_strand(inst, a), field, {})
 
 
 @dataclass(frozen=True)
@@ -182,9 +198,9 @@ def homology_profile(inst: QuotientInstance, field: FieldSpec = RATIONALS) -> Ho
     """Full (debug) scan: every nonzero homology dimension of every strand."""
     entries = []
     max_nonzero = -1
+    ranks: RankCache = {}
     for strand in all_strands(inst):
-        dims = _strand_homology_from_ranks(strand, _boundary_ranks(strand, field))
-        for i, dim in sorted(dims.items()):
+        for i, dim in sorted(_strand_homology(strand, field, ranks).items()):
             if dim:
                 entries.append((strand.multidegree, i, dim))
                 max_nonzero = max(max_nonzero, i)
@@ -193,17 +209,34 @@ def homology_profile(inst: QuotientInstance, field: FieldSpec = RATIONALS) -> Ho
     return HomologyProfile(per_strand=tuple(entries), max_nonzero=max_nonzero)
 
 
-def exact_depth_multi(inst: QuotientInstance, fields: Sequence[FieldSpec]) -> dict[FieldSpec, int]:
+def exact_depth_multi(
+    inst: QuotientInstance, fields: Sequence[FieldSpec], ranks: RankCache | None = None
+) -> dict[FieldSpec, int]:
     """Exact depth over several fields in one scan of the square-free multidegrees.
 
     For each field, depth = n - max{i : some strand has nonzero homology in
     chain degree i}.  A strand at multidegree a has chain degrees at most
     deg(a) - d, which prunes the scan: once every field's running maximum
     reaches that bound, the remaining (smaller) multidegrees cannot raise it.
+
+    Within a strand only the chain degrees above the field's running maximum
+    can matter; they are visited from the top down and the first one with
+    nonzero homology ends the strand for that field.  Over Q each candidate
+    degree is screened over GF(2) first: rank over GF(2) <= rank over Q for
+    every map (see :func:`strand_rank`), so dim H_i over Q <= dim H_i over
+    GF(2), and a degree with zero GF(2) homology is exact over Q without any
+    rational elimination.  Odd primes are ranked directly by modular
+    elimination.
+
+    Every rank computed is stored in ``ranks`` (a fresh dict when omitted),
+    so a caller that passes the same dict to :func:`check_rank_split` reuses
+    the ranks of the full strand instead of eliminating them again.
     """
     field_list = list(dict.fromkeys(fields))
     if not field_list:
         raise InputError("need at least one field")
+    if ranks is None:
+        ranks = {}
     n, d = inst.n, inst.d
     best = {f: -1 for f in field_list}
     by_size: dict[int, list[int]] = {}
@@ -221,12 +254,14 @@ def exact_depth_multi(inst: QuotientInstance, fields: Sequence[FieldSpec]) -> di
             if strand.is_empty:
                 continue
             for f in field_list:
-                if bound <= best[f]:
-                    continue
-                dims = _strand_homology_from_ranks(strand, _boundary_ranks(strand, f))
-                nonzero = [i for i, dim in dims.items() if dim]
-                if nonzero:
-                    best[f] = max(best[f], max(nonzero))
+                for i in range(bound, best[f], -1):
+                    if not strand.basis(i):
+                        continue
+                    if f.is_rationals and not _homology_dim(strand, i, GF2, ranks):
+                        continue
+                    if _homology_dim(strand, i, f, ranks):
+                        best[f] = i
+                        break
     for f, top in best.items():
         if top < 0:
             raise InternalConsistencyError("empty homology scan on a validated instance")

@@ -1,16 +1,18 @@
-"""Independent brute-force oracles used by the test suite only.
+"""Independent brute-force oracles and shared instance families, for the test suite only.
 
-These deliberately avoid the package's strand builder and partition search:
-the multidegree oracle works on arbitrary exponent vectors (not just
-square-free ones) and the partition oracle enumerates every interval
-partition outright.
+The multidegree and partition oracles deliberately avoid the package's
+strand builder and partition search: the multidegree oracle works on
+arbitrary exponent vectors (not just square-free ones) and the partition
+oracle enumerates every interval partition outright.  The unscreened depth
+scan is the reference route for the package's screened scan.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
-from sqfdepth import Monomial, QuotientInstance, poset_elements
+from sqfdepth import Monomial, QuotientInstance, ValidationError, all_strands, poset_elements, validate_pair
 from sqfdepth.linalg import FieldSpec, rank_bareiss, rank_gf2, rank_mod_p
 
 
@@ -88,6 +90,27 @@ def brute_multidegree_homology(
     return dims
 
 
+def unscreened_depth_multi(inst: QuotientInstance, fields) -> dict[FieldSpec, int]:
+    """Depth per field with every map of every nonempty strand ranked in that field.
+
+    Bareiss over Q, the bitset route over GF(2), modular elimination over odd
+    primes: no GF(2) screen, no shared rank cache and no pruning of the scan.
+    """
+    best = {f: -1 for f in fields}
+    for strand in all_strands(inst):
+        top = len(strand.bases) - 1
+        for f in fields:
+            ranks = [0] * (top + 2)
+            for i in range(1, top + 1):
+                m = strand.boundary(i)
+                if m.rows and m.cols:
+                    ranks[i] = _raw_rank(m.entries, f)
+            for i in range(top + 1):
+                if strand.basis(i) and len(strand.basis(i)) - ranks[i] - ranks[i + 1] > 0:
+                    best[f] = max(best[f], i)
+    return {f: inst.n - top for f, top in best.items()}
+
+
 def brute_depth_all_multidegrees(
     inst: QuotientInstance, max_exponent: int, field: FieldSpec
 ) -> int:
@@ -134,3 +157,53 @@ def brute_stanley_depth(inst: QuotientInstance) -> int:
     recurse(0, inst.n + 1)
     assert best >= inst.d
     return best
+
+
+def hypothesis_violating_instances(count=250, seed=404) -> list[QuotientInstance]:
+    """Pairs where J may contain generators of I itself (degree <= d)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 5)
+        gens_i = [
+            Monomial.from_support(n, rng.sample(range(1, n + 1), rng.randint(1, n)))
+            for _ in range(rng.randint(2, 4))
+        ]
+        gens_j = []
+        for g in gens_i:
+            roll = rng.random()
+            if roll < 0.3:
+                gens_j.append(g)
+            elif roll < 0.6 and g.degree < n:
+                outside = [j for j in range(1, n + 1) if j not in g.support]
+                extra = rng.sample(outside, rng.randint(1, len(outside)))
+                gens_j.append(Monomial.from_support(n, tuple(g.support) + tuple(extra)))
+        try:
+            inst = validate_pair(n, gens_i, gens_j)
+        except ValidationError:
+            continue
+        out.append(inst)
+    return out
+
+
+# The 6-vertex triangulation of the real projective plane; all 15 edges are faces.
+RP2_FACETS = (
+    (1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+    (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6),
+)
+
+
+def rp2_cone_instance() -> QuotientInstance:
+    """(x7) / x7*J, J the Stanley-Reisner ideal of the 6-vertex RP^2.
+
+    The quotient is K[x1..x7]/J shifted by one degree, so its depth is one
+    more than that of the face ring: RP^2 is Cohen-Macaulay over Q and over
+    GF(3) but not over GF(2), and the depths are 4, 4 and 3.  GF(2) homology
+    is nonzero in a chain degree where rational homology vanishes, so the
+    GF(2) screen flags a degree that Bareiss must clear.
+    """
+    faces = set(RP2_FACETS)
+    gens_j = [
+        Monomial.from_support(7, t + (7,)) for t in combinations(range(1, 7), 3) if t not in faces
+    ]
+    return validate_pair(7, [Monomial.from_support(7, [7])], gens_j)

@@ -9,7 +9,6 @@ from sqfdepth import (
     GF2,
     RATIONALS,
     Monomial,
-    ValidationError,
     analyze,
     check_alternating_drop,
     check_base_drop,
@@ -24,6 +23,8 @@ from sqfdepth import (
 )
 from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS
 from sqfdepth.generate import default_params
+
+from oracles import hypothesis_violating_instances
 
 
 def mono(n, *indices):
@@ -216,36 +217,9 @@ def test_soundness_on_fuzz():
         assert report.consistent, report.inconsistencies
 
 
-def _hypothesis_violating_instances(count=250, seed=404):
-    """Pairs where J may contain generators of I itself (degree <= d)."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.randint(2, 5)
-        gens_i = [
-            Monomial.from_support(n, rng.sample(range(1, n + 1), rng.randint(1, n)))
-            for _ in range(rng.randint(2, 4))
-        ]
-        gens_j = []
-        for g in gens_i:
-            roll = rng.random()
-            if roll < 0.3:
-                gens_j.append(g)
-            elif roll < 0.6 and g.degree < n:
-                outside = [j for j in range(1, n + 1) if j not in g.support]
-                extra = rng.sample(outside, rng.randint(1, len(outside)))
-                gens_j.append(Monomial.from_support(n, tuple(g.support) + tuple(extra)))
-        try:
-            inst = validate_pair(n, gens_i, gens_j)
-        except ValidationError:
-            continue
-        out.append(inst)
-    return out
-
-
 def test_soundness_holds_without_degree_hypothesis():
     saw_flag_false = 0
-    for inst in _hypothesis_violating_instances():
+    for inst in hypothesis_violating_instances():
         report = analyze(inst, fields=(RATIONALS, GF2), sdepth_poset_cap=0)
         assert report.consistent, (inst, report.inconsistencies)
         if not inst.hypothesis_flag:

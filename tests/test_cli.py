@@ -148,6 +148,22 @@ def test_cli_strands_dump(tmp_path, capsys):
     assert doc["boundaries"]["2"]["entries"] == [[1, 1, 1, 0], [0, 0, -1, -1]]
 
 
+def test_cli_strands_labels_name_the_bases(tmp_path, capsys):
+    code, out, _ = run_cli(tmp_path, capsys, "strands", instance_text=PAPER)
+    assert code == 0
+    labels = {
+        i: (mat["row_labels"], mat["col_labels"]) for i, mat in json.loads(out)["boundaries"].items()
+    }
+    layer2 = ["x1*x2", "x1*x3", "x2*x3", "x3*x4"]
+    layer3 = ["x1*x2*x3", "x2*x3*x4"]
+    assert labels == {
+        "1": ([], layer3),
+        "2": (layer3, layer2),
+        "3": (layer2, ["x1", "x3"]),
+        "4": (["x1", "x3"], []),
+    }
+
+
 def test_cli_strands_default_multidegree_is_full(tmp_path, capsys):
     code, out, _ = run_cli(tmp_path, capsys, "strands", instance_text=PAPER)
     assert code == 0

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import sqfdepth
 from sqfdepth import (
     GF2,
     GF3,
     RATIONALS,
+    analyze,
+    check_rank_split,
     InputError,
     Monomial,
     ValidationError,
@@ -26,9 +31,14 @@ from sqfdepth import (
     validate_pair,
 )
 from sqfdepth.generate import default_params
-from sqfdepth.linalg import SignMatrix
+from sqfdepth.linalg import SignMatrix, rank_bareiss
 
-from oracles import brute_multidegree_homology
+from oracles import (
+    brute_multidegree_homology,
+    hypothesis_violating_instances,
+    rp2_cone_instance,
+    unscreened_depth_multi,
+)
 
 
 def mono(n, *indices):
@@ -232,3 +242,71 @@ def test_square_free_strands_agree_with_multidegree_oracle():
                 assert {i: v for i, v in got.items() if v} == {
                     i: v for i, v in expected.items() if v
                 }
+
+
+SCREEN_FIELDS = (RATIONALS, GF2, GF3)
+
+
+def test_screened_depth_matches_unscreened_reference():
+    instances = fuzz_instances() + hypothesis_violating_instances() + [rp2_cone_instance()]
+    for inst in instances:
+        assert exact_depth_multi(inst, SCREEN_FIELDS) == unscreened_depth_multi(inst, SCREEN_FIELDS), inst
+
+
+def test_torsion_instance_separates_q_from_gf2():
+    # GF(2) homology is nonzero where rational homology vanishes: the screen
+    # must hand that degree to Bareiss rather than conclude from GF(2).
+    inst = rp2_cone_instance()
+    assert exact_depth_multi(inst, SCREEN_FIELDS) == {RATIONALS: 4, GF2: 3, GF3: 4}
+    assert exact_depth(inst, RATIONALS) == 4
+
+
+def test_rank_split_same_with_shared_or_fresh_cache():
+    for inst in fuzz_instances(per_n=10) + hypothesis_violating_instances(count=60) + [rp2_cone_instance()]:
+        ranks = {}
+        depths = exact_depth_multi(inst, SCREEN_FIELDS, ranks)
+        for f in SCREEN_FIELDS:
+            shared = [c.to_json_dict() for c in check_rank_split(inst, f, depths[f], ranks)]
+            fresh = [c.to_json_dict() for c in check_rank_split(inst, f, depths[f])]
+            assert shared == fresh, (inst, f)
+
+
+def _spy_on_bareiss(monkeypatch) -> list[int]:
+    """Replace rank_bareiss wherever a package module holds it; return the list of call sizes.
+
+    Replacing by identity in every module namespace catches exactly the calls
+    made through module globals.  Each call's rows must be hashable tuples.
+    """
+    calls: list[int] = []
+
+    def spy(entries):
+        assert all(isinstance(row, tuple) for row in entries)
+        hash(tuple(entries))
+        calls.append(len(entries))
+        return rank_bareiss(entries)
+
+    for info in pkgutil.iter_modules(sqfdepth.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"sqfdepth.{info.name}")
+        if getattr(module, "rank_bareiss", None) is rank_bareiss:
+            monkeypatch.setattr(module, "rank_bareiss", spy)
+    return calls
+
+
+def test_bareiss_call_count_gate(monkeypatch):
+    # Six default_params(8) instances from seed 7: analyze over Q and GF(2)
+    # made 1536 Bareiss calls before the GF(2) screen and the shared rank
+    # cache, and makes 20 with them.
+    rng = random.Random(7)
+    instances = [random_instance(default_params(8), rng) for _ in range(6)]
+    calls = _spy_on_bareiss(monkeypatch)
+    for inst in instances:
+        assert analyze(inst, fields=(RATIONALS, GF2), sdepth_poset_cap=0).consistent
+    assert 1 <= len(calls) <= 20
+
+
+def test_torsion_instance_reaches_bareiss(monkeypatch):
+    calls = _spy_on_bareiss(monkeypatch)
+    assert exact_depth(rp2_cone_instance(), RATIONALS) == 4
+    assert calls
