@@ -22,22 +22,12 @@ from .certificates import (
 from .errors import InputError, InternalConsistencyError, TheoremViolationError, ValidationError
 from .generate import GeneratorParams, default_params, random_instance
 from .instancefile import instance_to_json, parse_instance, serialize_instance
-from .linalg import GF2, GF3, RATIONALS, FieldSpec, SignMatrix, compose_is_zero, rank, rank_pair_check
+from .linalg import GF2, GF3, RATIONALS, FieldSpec, SignMatrix, rank
 from .monomials import Monomial, MonomialIdeal, QuotientInstance, divides, ideal_contains, minimalize, validate_pair
 from .poset import PosetLayers, RhoTable, alpha_table, enumerate_quotient, poset_elements, rho
 from .scan import ScanReport, conjecture_scan
 from .stanley import Interval, IntervalPartition, partition_exists, stanley_depth, verify_partition
-from .strands import (
-    HomologyProfile,
-    StrandComplex,
-    all_strands,
-    boundary_sign,
-    build_strand,
-    exact_depth,
-    exact_depth_multi,
-    homology_profile,
-    strand_homology,
-)
+from .strands import StrandComplex, boundary_sign, build_strand, exact_depth, exact_depth_multi
 
 __version__ = "0.1.0"
 
@@ -55,7 +45,6 @@ __all__ = [
     "GF2",
     "GF3",
     "GeneratorParams",
-    "HomologyProfile",
     "InputError",
     "InternalConsistencyError",
     "Interval",
@@ -71,7 +60,6 @@ __all__ = [
     "StrandComplex",
     "TheoremViolationError",
     "ValidationError",
-    "all_strands",
     "alpha_table",
     "analyze",
     "boundary_sign",
@@ -82,7 +70,6 @@ __all__ = [
     "check_lower_bound",
     "check_principal_gap",
     "check_rank_split",
-    "compose_is_zero",
     "conjecture_scan",
     "counting_certificates",
     "default_params",
@@ -90,7 +77,6 @@ __all__ = [
     "enumerate_quotient",
     "exact_depth",
     "exact_depth_multi",
-    "homology_profile",
     "ideal_contains",
     "instance_to_json",
     "minimalize",
@@ -99,11 +85,9 @@ __all__ = [
     "poset_elements",
     "random_instance",
     "rank",
-    "rank_pair_check",
     "rho",
     "serialize_instance",
     "stanley_depth",
-    "strand_homology",
     "validate_pair",
     "verify_partition",
 ]

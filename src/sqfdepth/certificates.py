@@ -26,9 +26,9 @@ from dataclasses import dataclass, field as dc_field
 from .errors import TheoremViolationError
 from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import Monomial, QuotientInstance
-from .poset import alpha_table, enumerate_quotient, rho
+from .poset import PosetLayers, enumerate_quotient
 from .stanley import IntervalPartition, stanley_depth
-from .strands import RankCache, build_strand, exact_depth_multi, strand_rank
+from .strands import RankCache, StrandComplex, build_strand, exact_depth_multi, strand_rank
 
 LOWER_BOUND = "lower_bound"
 BASE_DROP = "base_drop"
@@ -98,15 +98,17 @@ def check_lower_bound(inst: QuotientInstance) -> Certificate:
     )
 
 
-def check_base_drop(inst: QuotientInstance) -> Certificate:
+def check_base_drop(inst: QuotientInstance, poset: PosetLayers | None = None) -> Certificate:
     """A drop from the bottom layer to the next pins depth to d.
 
     rho_d > rho_{d+1} makes the bottom boundary map of the full strand fail
     injectivity by a rank surplus, so depth <= d; with the standing lower
     bound this is equality.
     """
+    if poset is None:
+        poset = enumerate_quotient(inst)
     d = inst.d
-    r_d, r_d1 = rho(inst, d), rho(inst, d + 1)
+    r_d, r_d1 = poset.rho(d), poset.rho(d + 1)
     fired = r_d > r_d1
     conclusions = ()
     if fired:
@@ -120,19 +122,21 @@ def check_base_drop(inst: QuotientInstance) -> Certificate:
     )
 
 
-def check_alternating_drop(inst: QuotientInstance) -> list[Certificate]:
+def check_alternating_drop(inst: QuotientInstance, poset: PosetLayers | None = None) -> list[Certificate]:
     """One certificate per degree t in [d, n]: fires when rho_{t+1} < alpha_t.
 
     A firing always yields depth <= t (either depth < t already, or
     depth >= t and the criterion forces equality); the equality conclusion
     is recorded as conditional on an independent depth >= t.
     """
+    if poset is None:
+        poset = enumerate_quotient(inst)
     n, d = inst.n, inst.d
-    table = alpha_table(inst)
+    alpha = dict(poset.alpha_table().alpha)
     out = []
     for t in range(d, n + 1):
-        r_next = rho(inst, t + 1)
-        a_t = table.alpha_at(t)
+        r_next = poset.rho(t + 1)
+        a_t = alpha[t]
         fired = r_next < a_t
         conclusions = ()
         if fired:
@@ -152,10 +156,12 @@ def check_alternating_drop(inst: QuotientInstance) -> list[Certificate]:
     return out
 
 
-def check_principal_gap(inst: QuotientInstance) -> Certificate:
+def check_principal_gap(inst: QuotientInstance, poset: PosetLayers | None = None) -> Certificate:
     """Principal I with rho_{d+1} exceeding rho_{d+2} + 1 pins depth to d + 1."""
+    if poset is None:
+        poset = enumerate_quotient(inst)
     d = inst.d
-    s, q = rho(inst, d + 1), rho(inst, d + 2)
+    s, q = poset.rho(d + 1), poset.rho(d + 2)
     principal = len(inst.ideal_i.generators) == 1
     fired = principal and s > q + 1
     conclusions = (Conclusion(DEPTH_EQUALS, d + 1),) if fired else ()
@@ -168,13 +174,15 @@ def check_principal_gap(inst: QuotientInstance) -> Certificate:
     )
 
 
-def check_layer_sandwich(inst: QuotientInstance, depth: int) -> Certificate:
+def check_layer_sandwich(inst: QuotientInstance, depth: int, poset: PosetLayers | None = None) -> Certificate:
     """With depth >= d + 2, the middle layer is sandwiched:
     rho_d <= rho_{d+1} <= rho_d + rho_{d+2}, and rho_{d+2} = 0 forces equality
     on the left.  A violation while fired flags an implementation bug.
     """
+    if poset is None:
+        poset = enumerate_quotient(inst)
     d = inst.d
-    r_d, r_d1, r_d2 = rho(inst, d), rho(inst, d + 1), rho(inst, d + 2)
+    r_d, r_d1, r_d2 = poset.rho(d), poset.rho(d + 1), poset.rho(d + 2)
     fired = depth >= d + 2
     numbers = {"depth": depth, "rho_d": r_d, "rho_d_plus_1": r_d1, "rho_d_plus_2": r_d2}
     if not fired:
@@ -197,7 +205,11 @@ def check_layer_sandwich(inst: QuotientInstance, depth: int) -> Certificate:
 
 
 def check_rank_split(
-    inst: QuotientInstance, field: FieldSpec, depth: int, ranks: RankCache | None = None
+    inst: QuotientInstance,
+    field: FieldSpec,
+    depth: int,
+    ranks: RankCache | None = None,
+    full: StrandComplex | None = None,
 ) -> list[Certificate]:
     """Rank decomposition of each full-strand layer, one certificate per offset i.
 
@@ -209,15 +221,18 @@ def check_rank_split(
 
     Ranks come from :func:`strand_rank`; pass the ``ranks`` dict that
     :func:`exact_depth_multi` filled to reuse what the depth scan already
-    computed on the full strand.
+    computed on the full strand.  ``full`` is the strand at the full
+    multidegree, built here when omitted; its chain-degree-(n-d-i) basis is
+    the degree-(d+i) layer, so r is read off it.
     """
     n, d = inst.n, inst.d
-    full = build_strand(inst, Monomial(n, (1 << n) - 1))
+    if full is None:
+        full = build_strand(inst, Monomial(n, (1 << n) - 1))
     if ranks is None:
         ranks = {}
     out = []
     for i in range(0, n - d):
-        r = rho(inst, d + i)
+        r = len(full.basis(n - d - i))
         rank_out = strand_rank(full, n - d - i, field, ranks)
         rank_in = strand_rank(full, n - d - i + 1, field, ranks)
         numbers = {"i": i, "r": r, "rank_in": rank_in, "rank_out": rank_out, "depth": depth}
@@ -250,13 +265,15 @@ def check_rank_split(
     return out
 
 
-def counting_certificates(inst: QuotientInstance) -> list[Certificate]:
+def counting_certificates(inst: QuotientInstance, poset: PosetLayers | None = None) -> list[Certificate]:
     """The certificates read off rho and alpha alone, in report order."""
+    if poset is None:
+        poset = enumerate_quotient(inst)
     return [
         check_lower_bound(inst),
-        check_base_drop(inst),
-        *check_alternating_drop(inst),
-        check_principal_gap(inst),
+        check_base_drop(inst, poset),
+        *check_alternating_drop(inst, poset),
+        check_principal_gap(inst, poset),
     ]
 
 
@@ -310,31 +327,35 @@ def analyze(
 ) -> AnalysisReport:
     """Run the whole pipeline on one instance and cross-check every conclusion.
 
-    Enumerates the quotient poset, evaluates all certificates, computes the
-    exact depth per requested field and (poset size permitting) the Stanley
-    depth with witness, then verifies every fired conclusion against the
-    exact depths.  Cross-check failures are collected, never silently
-    dropped; ``consistent`` is False when any were found.
+    Enumerates the quotient poset once and hands it to every stage, along
+    with one rank cache and one full strand, evaluates all certificates,
+    computes the exact depth per requested field and (poset size
+    permitting) the Stanley depth with witness, then verifies every fired
+    conclusion against the exact depths.  Cross-check failures are
+    collected, never silently dropped; ``consistent`` is False when any
+    were found.
     """
     field_list = tuple(dict.fromkeys(fields)) or (RATIONALS,)
-    table = alpha_table(inst)
+    poset = enumerate_quotient(inst)
+    table = poset.alpha_table()
     ranks: RankCache = {}
-    depths_by_field = exact_depth_multi(inst, field_list, ranks)
+    depths_by_field = exact_depth_multi(inst, field_list, ranks, poset)
     depths = {f.label: v for f, v in depths_by_field.items()}
 
     inconsistencies: list[str] = []
-    certificates = counting_certificates(inst)
+    certificates = counting_certificates(inst, poset)
     findings = [c.warning for c in certificates if c.warning]
+    full = build_strand(inst, Monomial(inst.n, (1 << inst.n) - 1), poset)
     for f in field_list:
         depth_f = depths_by_field[f]
         try:
-            sandwich = check_layer_sandwich(inst, depth_f)
+            sandwich = check_layer_sandwich(inst, depth_f, poset)
             sandwich.field = f
             certificates.append(sandwich)
         except TheoremViolationError as exc:
             inconsistencies.append(f"{f.label}: {exc}")
         try:
-            certificates.extend(check_rank_split(inst, f, depth_f, ranks))
+            certificates.extend(check_rank_split(inst, f, depth_f, ranks, full))
         except TheoremViolationError as exc:
             inconsistencies.append(f"{f.label}: {exc}")
 
@@ -343,9 +364,9 @@ def analyze(
 
     sdepth_value: int | None = None
     witness: IntervalPartition | None = None
-    poset_size = len(enumerate_quotient(inst).elements())
+    poset_size = len(poset.elements())
     if sdepth_poset_cap is None or poset_size <= sdepth_poset_cap:
-        sdepth_value, witness = stanley_depth(inst)
+        sdepth_value, witness = stanley_depth(inst, poset)
         max_depth = max(depths.values())
         if sdepth_value < max_depth:
             findings.append(

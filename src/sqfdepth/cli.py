@@ -19,7 +19,7 @@ from .generate import default_params
 from .instancefile import instance_to_json, parse_instance
 from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import Monomial, QuotientInstance
-from .poset import alpha_table
+from .poset import enumerate_quotient
 from .scan import conjecture_scan
 from .stanley import stanley_depth
 from .strands import build_strand, exact_depth_multi
@@ -108,8 +108,9 @@ def _cmd_depth(args) -> int:
 
 def _cmd_bounds(args) -> int:
     inst = _read_instance(args.instance)
-    table = alpha_table(inst)
-    certs = counting_certificates(inst)
+    poset = enumerate_quotient(inst)
+    table = poset.alpha_table()
+    certs = counting_certificates(inst, poset)
     _emit({
         "instance": instance_to_json(inst),
         "d": inst.d,

@@ -1,9 +1,9 @@
 """Exact rank computation for small dense integer matrices.
 
 Ranks over the rationals are computed by fraction-free (integer-preserving)
-elimination; a second, independent route using exact Fraction arithmetic is
-kept for cross-validation.  Ranks over prime fields use modular elimination,
-with a bitset fast path for GF(2).
+elimination; the test suite cross-validates it against an independent route
+on exact Fractions.  Ranks over prime fields use modular elimination, with a
+bitset fast path for GF(2).
 
 The matrices of interest have entries in {-1, 0, +1}, but fraction-free
 intermediate values are minors of the input and can grow, so everything
@@ -14,10 +14,9 @@ matrices at desk scale are at most a few hundred wide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError
 
 
 def _is_prime(p: int) -> bool:
@@ -139,40 +138,6 @@ def rank_bareiss(entries: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def rank_fraction_gauss(entries: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by plain Gaussian elimination on exact Fractions.
-
-    Independent of :func:`rank_bareiss`; used as the cross-validation route.
-    """
-    m = [[Fraction(e) for e in r] for r in entries]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        mp = m[rank]
-        inv = 1 / mp[col]
-        for r in range(rank + 1, nr):
-            f = m[r][col]
-            if f:
-                mult = f * inv
-                mr = m[r]
-                for c in range(col, nc):
-                    mr[c] -= mult * mp[c]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
 def rank_gf2(entries: Sequence[Sequence[int]]) -> int:
     """Rank over GF(2); rows are packed into ints and reduced by XOR."""
     basis: dict[int, int] = {}
@@ -229,38 +194,3 @@ def rank(m: SignMatrix, field: FieldSpec = RATIONALS) -> int:
     if field.p == 2:
         return rank_gf2(m.entries)
     return rank_mod_p(m.entries, field.p)
-
-
-def rank_pair_check(m: SignMatrix, field_a: FieldSpec = RATIONALS, field_b: FieldSpec = GF2) -> tuple[int, int]:
-    """Ranks over the rationals and over a prime field, with the specialization check.
-
-    A nonvanishing minor over GF(p) lifts to a nonvanishing minor over the
-    rationals, so the modular rank can never exceed the rational one; a
-    violation means an elimination bug.
-    """
-    if not field_a.is_rationals or field_b.is_rationals:
-        raise InputError("rank_pair_check expects (rationals, prime field)")
-    r_q = rank(m, field_a)
-    r_p = rank(m, field_b)
-    if r_p > r_q:
-        raise InternalConsistencyError(
-            f"rank over GF({field_b.p}) is {r_p} > rank over Q is {r_q}"
-        )
-    return r_q, r_p
-
-
-def compose_is_zero(a: SignMatrix, b: SignMatrix) -> bool:
-    """True iff the integer matrix product a*b is identically zero."""
-    if a.cols != b.rows:
-        raise InputError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    for i in range(a.rows):
-        arow = a.entries[i]
-        for j in range(b.cols):
-            s = 0
-            for t in range(a.cols):
-                e = arow[t]
-                if e:
-                    s += e * b.entries[t][j]
-            if s:
-                return False
-    return True

@@ -2,14 +2,16 @@
 
 The monomials of I \\ J form a finite poset under divisibility.  Everything
 downstream (counting, strand bases, interval partitions) consumes the same
-stratified enumeration, so it is computed once per instance and cached.
+stratified enumeration.  It is not cached: each computation enumerates the
+poset once and passes the resulting :class:`PosetLayers` to the functions it
+calls (their ``poset`` argument); a function called without one enumerates
+its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .monomials import Monomial, QuotientInstance, ideal_contains
 
@@ -36,6 +38,23 @@ class PosetLayers:
         """All poset elements in canonical order (degree ascending, then support)."""
         return tuple(m for row in self.layers for m in row)
 
+    def rho(self, t: int) -> int:
+        """Number of degree-t elements; zero outside the range [d, n]."""
+        return len(self.layer(t))
+
+    def alpha_table(self, t: int | None = None) -> RhoTable:
+        """rho for all degrees d..n and alpha for degrees d..t (default t = n)."""
+        n, d = self.instance.n, self.instance.d
+        if t is None:
+            t = n
+        rho_pairs = tuple((j, self.rho(j)) for j in range(d, n + 1))
+        counts = dict(rho_pairs)
+        alpha_pairs = []
+        for j in range(d, t + 1):
+            a = sum((-1) ** (j - d + i) * counts[d + i] for i in range(j - d + 1))
+            alpha_pairs.append((j, a))
+        return RhoTable(d=d, rho=rho_pairs, alpha=tuple(alpha_pairs))
+
 
 @dataclass(frozen=True)
 class RhoTable:
@@ -49,14 +68,10 @@ class RhoTable:
     rho: tuple[tuple[int, int], ...]
     alpha: tuple[tuple[int, int], ...]
 
-    def rho_at(self, t: int) -> int:
-        return dict(self.rho).get(t, 0)
-
     def alpha_at(self, j: int) -> int:
         return dict(self.alpha)[j]
 
 
-@lru_cache(maxsize=512)
 def enumerate_quotient(inst: QuotientInstance) -> PosetLayers:
     """Exactly enumerate {m square-free : m in I, m not in J}, stratified by degree.
 
@@ -78,22 +93,12 @@ def enumerate_quotient(inst: QuotientInstance) -> PosetLayers:
 
 def rho(inst: QuotientInstance, t: int) -> int:
     """Number of degree-t monomials in I \\ J; zero outside the range [d, n]."""
-    return len(enumerate_quotient(inst).layer(t))
+    return enumerate_quotient(inst).rho(t)
 
 
 def alpha_table(inst: QuotientInstance, t: int | None = None) -> RhoTable:
     """rho for all degrees d..n and alpha for degrees d..t (default t = n)."""
-    n, d = inst.n, inst.d
-    if t is None:
-        t = n
-    layers = enumerate_quotient(inst)
-    rho_pairs = tuple((j, len(layers.layer(j))) for j in range(d, n + 1))
-    counts = dict(rho_pairs)
-    alpha_pairs = []
-    for j in range(d, t + 1):
-        a = sum((-1) ** (j - d + i) * counts[d + i] for i in range(j - d + 1))
-        alpha_pairs.append((j, a))
-    return RhoTable(d=d, rho=rho_pairs, alpha=tuple(alpha_pairs))
+    return enumerate_quotient(inst).alpha_table(t)
 
 
 def poset_elements(inst: QuotientInstance) -> tuple[Monomial, ...]:

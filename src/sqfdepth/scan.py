@@ -9,7 +9,7 @@ from .certificates import check_alternating_drop
 from .generate import GeneratorParams, random_instance
 from .instancefile import instance_to_json
 from .linalg import GF2, RATIONALS
-from .poset import poset_elements
+from .poset import enumerate_quotient
 from .stanley import stanley_depth
 from .strands import exact_depth_multi
 
@@ -83,13 +83,14 @@ def conjecture_scan(
     skipped: list[int] = []
     for index in range(count):
         inst = random_instance(params, rng)
-        depths = exact_depth_multi(inst, (RATIONALS, GF2))
+        poset = enumerate_quotient(inst)
+        depths = exact_depth_multi(inst, (RATIONALS, GF2), poset=poset)
         depth_map = {f.label: v for f, v in depths.items()}
-        fired_ts = [c.t for c in check_alternating_drop(inst) if c.fired]
+        fired_ts = [c.t for c in check_alternating_drop(inst, poset) if c.fired]
         min_fired = min(fired_ts) if fired_ts else None
         sdepth_value: int | None = None
-        if max_sdepth_poset is None or len(poset_elements(inst)) <= max_sdepth_poset:
-            sdepth_value, _ = stanley_depth(inst)
+        if max_sdepth_poset is None or len(poset.elements()) <= max_sdepth_poset:
+            sdepth_value, _ = stanley_depth(inst, poset)
             if sdepth_value < max(depth_map.values()):
                 stanley_violations.append(index)
             if min_fired is not None and sdepth_value < min_fired:

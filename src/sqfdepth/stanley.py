@@ -5,23 +5,59 @@ A partition of the whole poset into disjoint intervals witnesses the value
 min over intervals of deg(top); the Stanley depth is the maximum of that
 value over all partitions.
 
-Feasibility for a fixed target k (every top of degree >= k) is decided by
-exact-cover backtracking: repeatedly take the canonically smallest uncovered
-element u, branch over the candidate tops v (multiples of u in the poset
-with deg v >= k whose interval is fully uncovered), and backtrack on dead
-ends.  Candidate tops are tried by degree descending, then lexicographically,
-so returned witnesses are reproducible.  The overall value is found by
-descending k from the largest degree present; k = d is always feasible via
-singleton intervals, so the search terminates with a witness.
+A target k (a partition with every top of degree >= k) is decided on P<=k,
+the elements of degree at most k, which is a prefix of the canonical order:
+sdepth >= k exactly when P<=k splits into intervals whose tops all have
+degree k (Herzog-Vladoiu-Zheng, J. Algebra 2009).  Soundness:
+
+* If P<=k has such a partition, adding one singleton interval for each
+  element of degree > k gives a partition of P whose least top degree is k.
+* Conversely, take a partition of P with every top of degree >= k and cut
+  each interval [C, D] at rank k.  Nothing is left when deg C > k.
+  Otherwise what is left is the Boolean lattice on D \\ C cut at rank
+  r = k - deg C <= |D \\ C|, which splits into intervals whose tops have
+  rank r, by induction on m = |D \\ C|: for r = m take the whole lattice,
+  for r = 0 the bottom alone; for 0 < r < m the sets without the last
+  element of D \\ C are the lattice on m - 1 elements cut at rank r, and
+  the sets with it are the lattice on m - 1 elements cut at rank r - 1,
+  with that element added to every member.
+* P = I \\ J is convex: u in I and u | w give w in I, and w | v with v not
+  in J gives w not in J.  So every [u, v] with u, v in P lies inside P,
+  and its members are u joined with each submask of v \\ u.
+
+Counting fixes the number n_a of intervals with bottom degree a in such a
+partition of P<=k.  An interval from degree a to degree k has C(k-a, t-a)
+members of degree t, so rho_t = sum_a n_a C(k-a, t-a) for t = d..k.  The
+system is triangular with unit diagonal; forward substitution gives the
+n_a, and a negative one proves k infeasible before any search
+(the Hilbert-depth bound of Ichim-Katthan-Moyano-Fernandez, Math. Comp.
+2017).  Within the search the quotas hold at every node without a check.
+With p_b intervals placed from bottom degree b, all inside P by
+convexity, the uncovered elements of degree t number
+sum_b (n_b - p_b) C(k-b, t-b).  When the smallest uncovered element has
+degree a, that is zero for each t < a, which gives p_b = n_b for every
+b < a, degree by degree from d up; so the uncovered elements of degree a
+number exactly n_a - p_a.
+
+The search is exact-cover backtracking on an explicit stack: take the
+canonically smallest uncovered element u as the next bottom, branch over
+the tops v of degree k above u whose interval is fully uncovered, in
+canonical order, and backtrack on dead ends; covers proven to fail are
+remembered.  Returned witnesses are therefore reproducible.  The overall
+value is found by descending k from the largest degree present; k = d is
+always feasible via singleton intervals, so the search terminates with a
+witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 from .errors import InputError
 from .monomials import Monomial, QuotientInstance
-from .poset import enumerate_quotient, poset_elements
+from .poset import PosetLayers, enumerate_quotient, poset_elements
 
 _FAILED_STATES_CAP = 1 << 18
 
@@ -114,82 +150,117 @@ def verify_partition(inst: QuotientInstance, partition: IntervalPartition) -> Pa
     return PartitionCheck(True)
 
 
-def _search_tables(inst: QuotientInstance):
-    elements = poset_elements(inst)
-    index = {m.mask: i for i, m in enumerate(elements)}
-    multiples: list[list[int]] = []
-    for u in elements:
-        ms = [v_idx for v_idx, v in enumerate(elements) if u.mask & ~v.mask == 0]
-        ms.sort(key=lambda v_idx: (-elements[v_idx].degree, elements[v_idx].support))
-        multiples.append(ms)
-    interval_bits: dict[tuple[int, int], int] = {}
-    for u_idx, u in enumerate(elements):
-        for v_idx in multiples[u_idx]:
-            v = elements[v_idx]
-            bits = 0
-            for w_idx, w in enumerate(elements):
-                if u.mask & ~w.mask == 0 and w.mask & ~v.mask == 0:
-                    bits |= 1 << w_idx
-            interval_bits[(u_idx, v_idx)] = bits
-    return elements, index, multiples, interval_bits
+def _quotas_feasible(poset: PosetLayers, k: int) -> bool:
+    """False when some forced interval count n_a (see the module docstring) is negative."""
+    d = poset.instance.d
+    quotas: list[int] = []
+    for t in range(d, k + 1):
+        n_t = poset.rho(t) - sum(n_a * comb(k - a, t - a) for a, n_a in enumerate(quotas, start=d))
+        if n_t < 0:
+            return False
+        quotas.append(n_t)
+    return True
 
 
-def partition_exists(inst: QuotientInstance, k: int) -> IntervalPartition | None:
+def _search(masks: list[int], index: dict[int, int], size: int, candidates: list[list[int]]):
+    """Exact cover of positions 0..size-1 by intervals [u, v], v from ``candidates[u]``.
+
+    Returns the (bottom, top) positions of the cover in placement order, or
+    None.  Interval bitmasks are built on first use from the submasks of
+    v \\ u; convexity puts every one of them in ``index``.
+    """
+    full = (1 << size) - 1
+    intervals: dict[tuple[int, int], int] = {}
+    failed: set[int] = set()
+    stack: list[tuple[int, int, int, int]] = []  # (cover, u, next candidate position, chosen v)
+    cover, u, pos = 0, 0, 0
+    while True:
+        cands = candidates[u]
+        while pos < len(cands):
+            v = cands[pos]
+            pos += 1
+            bits = intervals.get((u, v))
+            if bits is None:
+                low, between = masks[u], masks[v] & ~masks[u]
+                bits, sub = 0, between
+                while True:
+                    bits |= 1 << index[low | sub]
+                    if not sub:
+                        break
+                    sub = (sub - 1) & between
+                intervals[(u, v)] = bits
+            if bits & cover:
+                continue
+            grown = cover | bits
+            if grown == full:
+                return [(f[1], f[3]) for f in stack] + [(u, v)]
+            if grown in failed:
+                continue
+            stack.append((cover, u, pos, v))
+            cover = grown
+            free = ~cover & full
+            u = (free & -free).bit_length() - 1
+            pos = 0
+            cands = candidates[u]
+        if len(failed) < _FAILED_STATES_CAP:
+            failed.add(cover)
+        if not stack:
+            return None
+        cover, u, pos, _ = stack.pop()
+
+
+def partition_exists(
+    inst: QuotientInstance, k: int, poset: PosetLayers | None = None
+) -> IntervalPartition | None:
     """A partition with every top of degree >= k, if one exists.
 
-    Deterministic exact-cover backtracking over the poset elements; see the
-    module docstring for the branch order.
+    Rejects k at once when the counting quotas fail, then searches P<=k for
+    a partition into intervals with tops of degree exactly k; the witness is
+    those intervals followed by a singleton for each element of degree > k,
+    in canonical order.  See the module docstring for why this is exact.
+    ``poset`` is the instance's enumeration, built here when omitted.
     """
     if k < inst.d:
         raise InputError(f"target {k} is below the minimal poset degree {inst.d}")
-    elements, _, multiples, interval_bits = _search_tables(inst)
-    count = len(elements)
-    full = (1 << count) - 1
-    candidates = [
-        [v_idx for v_idx in multiples[u_idx] if elements[v_idx].degree >= k]
-        for u_idx in range(count)
-    ]
-    if any(not c for c in candidates):
+    if poset is None:
+        poset = enumerate_quotient(inst)
+    if not _quotas_feasible(poset, k):
         return None
-
-    failed: set[int] = set()
-
-    def solve(cover: int) -> list[tuple[int, int]] | None:
-        if cover == full:
-            return []
-        if cover in failed:
-            return None
-        free = ~cover & full
-        u_idx = (free & -free).bit_length() - 1
-        for v_idx in candidates[u_idx]:
-            bits = interval_bits[(u_idx, v_idx)]
-            if bits & cover:
-                continue
-            rest = solve(cover | bits)
-            if rest is not None:
-                return [(u_idx, v_idx)] + rest
-        if len(failed) < _FAILED_STATES_CAP:
-            failed.add(cover)
+    elements = poset.elements()
+    masks = [m.mask for m in elements]
+    index = {mask: i for i, mask in enumerate(masks)}
+    size = sum(poset.rho(t) for t in range(inst.d, k + 1))
+    candidates: list[list[int]] = [[] for _ in range(size)]
+    for v in range(size - poset.rho(k), size):
+        bits = [1 << j for j in range(inst.n) if masks[v] >> j & 1]
+        for drop in range(k - inst.d + 1):
+            for removed in combinations(bits, drop):
+                u = index.get(masks[v] - sum(removed))
+                if u is not None:
+                    candidates[u].append(v)
+    if not all(candidates):
         return None
-
-    picks = solve(0)
+    picks = _search(masks, index, size, candidates)
     if picks is None:
         return None
     intervals = tuple(Interval(elements[u], elements[v]) for u, v in picks)
-    value = min(iv.top.degree for iv in intervals)
-    return IntervalPartition(intervals=intervals, sdepth_value=value)
+    intervals += tuple(Interval(m, m) for m in elements[size:])
+    return IntervalPartition(intervals=intervals, sdepth_value=k)
 
 
-def stanley_depth(inst: QuotientInstance) -> tuple[int, IntervalPartition]:
+def stanley_depth(inst: QuotientInstance, poset: PosetLayers | None = None) -> tuple[int, IntervalPartition]:
     """The largest feasible target together with a witness partition.
 
-    Descends from the largest degree present in the poset; the floor k = d
-    is always feasible (singleton intervals), so a witness always exists.
+    Descends from the largest degree present in the poset, calling
+    :func:`partition_exists` once per target; the floor k = d is always
+    feasible (singleton intervals), so a witness always exists.  ``poset``
+    is the instance's enumeration, built here when omitted.
     """
-    layers = enumerate_quotient(inst)
-    top_degree = max(t for t in range(inst.d, inst.n + 1) if layers.layer(t))
+    if poset is None:
+        poset = enumerate_quotient(inst)
+    top_degree = max(t for t in range(inst.d, inst.n + 1) if poset.layer(t))
     for k in range(top_degree, inst.d - 1, -1):
-        partition = partition_exists(inst, k)
+        partition = partition_exists(inst, k, poset)
         if partition is not None:
             return k, partition
     raise AssertionError("unreachable: singleton partition at k = d always exists")

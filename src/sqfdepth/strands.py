@@ -19,12 +19,12 @@ the test suite validates that assumption empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InputError, InternalConsistencyError
 from .linalg import GF2, RATIONALS, FieldSpec, SignMatrix, rank_bareiss, rank_gf2, rank_mod_p
 from .monomials import Monomial, QuotientInstance, ideal_contains
-from .poset import enumerate_quotient
+from .poset import PosetLayers, enumerate_quotient
 
 
 def boundary_sign(f: Monomial, b: Monomial, ambient: Monomial) -> int:
@@ -107,17 +107,18 @@ def _boundary_rows(a: Monomial, source: tuple[Monomial, ...], target: tuple[Mono
     return tuple(map(tuple, rows))
 
 
-def build_strand(inst: QuotientInstance, a: Monomial) -> StrandComplex:
+def build_strand(inst: QuotientInstance, a: Monomial, poset: PosetLayers | None = None) -> StrandComplex:
     """Assemble the strand at multidegree a: bases and boundary matrices.
 
     The chain-degree-i basis consists exactly of the quotient-poset monomials
     of degree deg(a) - i dividing a.  An empty strand (all bases empty) is a
     valid result.  Matrices are bare int rows; labels are made by callers
-    that print them, from the bases.
+    that print them, from the bases.  ``poset`` is the instance's
+    enumeration, built here when omitted.
     """
     if a.n != inst.n:
         raise InputError(f"multidegree has ambient n={a.n}, instance has n={inst.n}")
-    layers = enumerate_quotient(inst)
+    layers = enumerate_quotient(inst) if poset is None else poset
     size = a.degree
     bases = tuple(
         tuple(m for m in layers.layer(size - i) if m.mask & ~a.mask == 0)
@@ -166,51 +167,11 @@ def _homology_dim(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCa
     return dim
 
 
-def _strand_homology(strand: StrandComplex, field: FieldSpec, ranks: RankCache) -> dict[int, int]:
-    return {i: _homology_dim(strand, i, field, ranks) for i in strand.chain_degrees() if strand.basis(i)}
-
-
-def strand_homology(inst: QuotientInstance, a: Monomial, field: FieldSpec = RATIONALS) -> dict[int, int]:
-    """Homology dimension per chain degree with nonempty basis: r - rank(in) - rank(out)."""
-    return _strand_homology(build_strand(inst, a), field, {})
-
-
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Nonzero strand homology dimensions, keyed by (multidegree, chain degree)."""
-
-    per_strand: tuple[tuple[Monomial, int, int], ...]
-    max_nonzero: int
-
-
-def all_strands(inst: QuotientInstance) -> Iterator[StrandComplex]:
-    """All nonempty strands, by multidegree mask ascending.  Deterministic."""
-    for mask in range(1 << inst.n):
-        a = Monomial(inst.n, mask)
-        if not ideal_contains(inst.ideal_i, a):
-            continue
-        strand = build_strand(inst, a)
-        if not strand.is_empty:
-            yield strand
-
-
-def homology_profile(inst: QuotientInstance, field: FieldSpec = RATIONALS) -> HomologyProfile:
-    """Full (debug) scan: every nonzero homology dimension of every strand."""
-    entries = []
-    max_nonzero = -1
-    ranks: RankCache = {}
-    for strand in all_strands(inst):
-        for i, dim in sorted(_strand_homology(strand, field, ranks).items()):
-            if dim:
-                entries.append((strand.multidegree, i, dim))
-                max_nonzero = max(max_nonzero, i)
-    if max_nonzero < 0:
-        raise InternalConsistencyError("no nonzero strand homology found; quotient should be nonzero")
-    return HomologyProfile(per_strand=tuple(entries), max_nonzero=max_nonzero)
-
-
 def exact_depth_multi(
-    inst: QuotientInstance, fields: Sequence[FieldSpec], ranks: RankCache | None = None
+    inst: QuotientInstance,
+    fields: Sequence[FieldSpec],
+    ranks: RankCache | None = None,
+    poset: PosetLayers | None = None,
 ) -> dict[FieldSpec, int]:
     """Exact depth over several fields in one scan of the square-free multidegrees.
 
@@ -231,12 +192,15 @@ def exact_depth_multi(
     Every rank computed is stored in ``ranks`` (a fresh dict when omitted),
     so a caller that passes the same dict to :func:`check_rank_split` reuses
     the ranks of the full strand instead of eliminating them again.
+    ``poset`` is the instance's enumeration, built here when omitted.
     """
     field_list = list(dict.fromkeys(fields))
     if not field_list:
         raise InputError("need at least one field")
     if ranks is None:
         ranks = {}
+    if poset is None:
+        poset = enumerate_quotient(inst)
     n, d = inst.n, inst.d
     best = {f: -1 for f in field_list}
     by_size: dict[int, list[int]] = {}
@@ -250,7 +214,7 @@ def exact_depth_multi(
             a = Monomial(n, mask)
             if not ideal_contains(inst.ideal_i, a):
                 continue
-            strand = build_strand(inst, a)
+            strand = build_strand(inst, a, poset)
             if strand.is_empty:
                 continue
             for f in field_list:

@@ -1,19 +1,168 @@
-"""Independent brute-force oracles and shared instance families, for the test suite only.
+"""Independent brute-force oracles, reference routes and shared instance families, for the test suite only.
 
 The multidegree and partition oracles deliberately avoid the package's
 strand builder and partition search: the multidegree oracle works on
 arbitrary exponent vectors (not just square-free ones) and the partition
 oracle enumerates every interval partition outright.  The unscreened depth
-scan is the reference route for the package's screened scan.
+scan is the reference route for the package's screened scan, the
+untruncated exact-cover search the reference route for its Stanley search,
+and Gaussian elimination on Fractions the reference route for Bareiss.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
+from math import comb
+from typing import Iterator, Sequence
 
-from sqfdepth import Monomial, QuotientInstance, ValidationError, all_strands, poset_elements, validate_pair
-from sqfdepth.linalg import FieldSpec, rank_bareiss, rank_gf2, rank_mod_p
+from sqfdepth import (
+    GF2,
+    RATIONALS,
+    FieldSpec,
+    InputError,
+    InternalConsistencyError,
+    Interval,
+    IntervalPartition,
+    Monomial,
+    QuotientInstance,
+    SignMatrix,
+    StrandComplex,
+    ValidationError,
+    build_strand,
+    enumerate_quotient,
+    ideal_contains,
+    poset_elements,
+    rank,
+    rho,
+    validate_pair,
+)
+from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
+from sqfdepth.strands import strand_rank
+
+
+def rank_fraction_gauss(entries: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals by plain Gaussian elimination on exact Fractions.
+
+    Independent of :func:`rank_bareiss`; used as the cross-validation route.
+    """
+    m = [[Fraction(e) for e in r] for r in entries]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    rank = 0
+    for col in range(nc):
+        piv = None
+        for r in range(rank, nr):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+        mp = m[rank]
+        inv = 1 / mp[col]
+        for r in range(rank + 1, nr):
+            f = m[r][col]
+            if f:
+                mult = f * inv
+                mr = m[r]
+                for c in range(col, nc):
+                    mr[c] -= mult * mp[c]
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+def rank_pair_check(m: SignMatrix, field_a: FieldSpec = RATIONALS, field_b: FieldSpec = GF2) -> tuple[int, int]:
+    """Ranks over the rationals and over a prime field, with the specialization check.
+
+    A nonvanishing minor over GF(p) lifts to a nonvanishing minor over the
+    rationals, so the modular rank can never exceed the rational one; a
+    violation means an elimination bug.
+    """
+    if not field_a.is_rationals or field_b.is_rationals:
+        raise InputError("rank_pair_check expects (rationals, prime field)")
+    r_q = rank(m, field_a)
+    r_p = rank(m, field_b)
+    if r_p > r_q:
+        raise InternalConsistencyError(
+            f"rank over GF({field_b.p}) is {r_p} > rank over Q is {r_q}"
+        )
+    return r_q, r_p
+
+
+def compose_is_zero(a: SignMatrix, b: SignMatrix) -> bool:
+    """True iff the integer matrix product a*b is identically zero."""
+    if a.cols != b.rows:
+        raise InputError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    for i in range(a.rows):
+        arow = a.entries[i]
+        for j in range(b.cols):
+            s = 0
+            for t in range(a.cols):
+                e = arow[t]
+                if e:
+                    s += e * b.entries[t][j]
+            if s:
+                return False
+    return True
+
+
+def all_strands(inst: QuotientInstance) -> Iterator[StrandComplex]:
+    """All nonempty strands, by multidegree mask ascending.  Deterministic."""
+    poset = enumerate_quotient(inst)
+    for mask in range(1 << inst.n):
+        a = Monomial(inst.n, mask)
+        if not ideal_contains(inst.ideal_i, a):
+            continue
+        strand = build_strand(inst, a, poset)
+        if not strand.is_empty:
+            yield strand
+
+
+def _strand_homology(strand: StrandComplex, field: FieldSpec) -> dict[int, int]:
+    ranks: dict = {}
+    dims = {}
+    for i in strand.chain_degrees():
+        if strand.basis(i):
+            dim = len(strand.basis(i)) - strand_rank(strand, i, field, ranks) - strand_rank(strand, i + 1, field, ranks)
+            if dim < 0:
+                raise InternalConsistencyError(
+                    f"negative homology dimension {dim} at {strand.multidegree}, chain degree {i}"
+                )
+            dims[i] = dim
+    return dims
+
+
+def strand_homology(inst: QuotientInstance, a: Monomial, field: FieldSpec = RATIONALS) -> dict[int, int]:
+    """Homology dimension per chain degree with nonempty basis: r - rank(in) - rank(out)."""
+    return _strand_homology(build_strand(inst, a), field)
+
+
+@dataclass(frozen=True)
+class HomologyProfile:
+    """Nonzero strand homology dimensions, keyed by (multidegree, chain degree)."""
+
+    per_strand: tuple[tuple[Monomial, int, int], ...]
+    max_nonzero: int
+
+
+def homology_profile(inst: QuotientInstance, field: FieldSpec = RATIONALS) -> HomologyProfile:
+    """Full (debug) scan: every nonzero homology dimension of every strand."""
+    entries = []
+    max_nonzero = -1
+    for strand in all_strands(inst):
+        for i, dim in sorted(_strand_homology(strand, field).items()):
+            if dim:
+                entries.append((strand.multidegree, i, dim))
+                max_nonzero = max(max_nonzero, i)
+    if max_nonzero < 0:
+        raise InternalConsistencyError("no nonzero strand homology found; quotient should be nonzero")
+    return HomologyProfile(per_strand=tuple(entries), max_nonzero=max_nonzero)
 
 
 def general_member(gens: list[Monomial], exponents: tuple[int, ...]) -> bool:
@@ -157,6 +306,89 @@ def brute_stanley_depth(inst: QuotientInstance) -> int:
     recurse(0, inst.n + 1)
     assert best >= inst.d
     return best
+
+
+def _untruncated_tables(inst: QuotientInstance):
+    elements = poset_elements(inst)
+    multiples: list[list[int]] = []
+    for u in elements:
+        ms = [v_idx for v_idx, v in enumerate(elements) if u.mask & ~v.mask == 0]
+        ms.sort(key=lambda v_idx: (-elements[v_idx].degree, elements[v_idx].support))
+        multiples.append(ms)
+    interval_bits: dict[tuple[int, int], int] = {}
+    for u_idx, u in enumerate(elements):
+        for v_idx in multiples[u_idx]:
+            v = elements[v_idx]
+            bits = 0
+            for w_idx, w in enumerate(elements):
+                if u.mask & ~w.mask == 0 and w.mask & ~v.mask == 0:
+                    bits |= 1 << w_idx
+            interval_bits[(u_idx, v_idx)] = bits
+    return elements, multiples, interval_bits
+
+
+def untruncated_partition_exists(inst: QuotientInstance, k: int) -> IntervalPartition | None:
+    """A partition of the whole poset with every top of degree >= k, if one exists.
+
+    Recursive exact-cover backtracking over all elements, with every top of
+    degree >= k as a candidate: no cut at degree k and no counting.
+    """
+    elements, multiples, interval_bits = _untruncated_tables(inst)
+    count = len(elements)
+    full = (1 << count) - 1
+    candidates = [
+        [v_idx for v_idx in multiples[u_idx] if elements[v_idx].degree >= k]
+        for u_idx in range(count)
+    ]
+    if any(not c for c in candidates):
+        return None
+
+    failed: set[int] = set()
+
+    def solve(cover: int) -> list[tuple[int, int]] | None:
+        if cover == full:
+            return []
+        if cover in failed:
+            return None
+        free = ~cover & full
+        u_idx = (free & -free).bit_length() - 1
+        for v_idx in candidates[u_idx]:
+            bits = interval_bits[(u_idx, v_idx)]
+            if bits & cover:
+                continue
+            rest = solve(cover | bits)
+            if rest is not None:
+                return [(u_idx, v_idx)] + rest
+        failed.add(cover)
+        return None
+
+    picks = solve(0)
+    if picks is None:
+        return None
+    intervals = tuple(Interval(elements[u], elements[v]) for u, v in picks)
+    value = min(iv.top.degree for iv in intervals)
+    return IntervalPartition(intervals=intervals, sdepth_value=value)
+
+
+def untruncated_stanley_depth(inst: QuotientInstance) -> tuple[int, IntervalPartition]:
+    """Stanley depth by the untruncated search, descending from the top degree."""
+    top_degree = max(m.degree for m in poset_elements(inst))
+    for k in range(top_degree, inst.d - 1, -1):
+        partition = untruncated_partition_exists(inst, k)
+        if partition is not None:
+            return k, partition
+    raise AssertionError("unreachable: singleton partition at k = d always exists")
+
+
+def counting_bound(inst: QuotientInstance) -> int:
+    """The largest k whose interval counts n_a, forced by rho_t = sum_a n_a C(k-a, t-a), are all >= 0."""
+    for k in range(inst.n, inst.d - 1, -1):
+        quotas: list[int] = []
+        for t in range(inst.d, k + 1):
+            quotas.append(rho(inst, t) - sum(q * comb(k - a, t - a) for a, q in enumerate(quotas, start=inst.d)))
+        if min(quotas) >= 0:
+            return k
+    raise AssertionError("unreachable: the counts at k = d are rho_d > 0")
 
 
 def hypothesis_violating_instances(count=250, seed=404) -> list[QuotientInstance]:

@@ -21,9 +21,7 @@ from sqfdepth import (
     RANK_SPLIT,
     RATIONALS,
     Monomial,
-    all_strands,
     analyze,
-    compose_is_zero,
     conjecture_scan,
     enumerate_quotient,
     exact_depth_multi,
@@ -36,9 +34,9 @@ from sqfdepth import (
     verify_partition,
 )
 from sqfdepth.generate import default_params
-from sqfdepth.linalg import rank_bareiss, rank_fraction_gauss, rank_gf2, rank_mod_p
+from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
 
-from oracles import brute_multidegree_homology, brute_stanley_depth
+from oracles import all_strands, brute_multidegree_homology, brute_stanley_depth, compose_is_zero, rank_fraction_gauss
 
 PAPER = '{"n":4,"I":[[1],[3]],"J":[[1,4]]}'
 PAPER_JPRIME = '{"n":4,"I":[[1],[3]],"J":[[1,4],[2,3,4]]}'

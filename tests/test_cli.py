@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
+import itertools
 import json
+import pkgutil
 import random
 
 import pytest
 
+import sqfdepth
+import sqfdepth.poset as poset_module
 from sqfdepth import (
     Monomial,
     ValidationError,
@@ -215,3 +220,48 @@ def test_cli_single_variable_instance(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["depth"] == {"q": 1, "gf:2": 1}
     assert doc["sdepth"] == 1
+
+
+def _band_text(n, low, high):
+    """I_{n,low}/I_{n,high}: all square-free monomials of degree low..high-1."""
+    def layer(k):
+        return [list(c) for c in itertools.combinations(range(1, n + 1), k)]
+
+    return json.dumps({"n": n, "I": layer(low), "J": layer(high)})
+
+
+def test_cli_sdepth_band_7_2_5(tmp_path, capsys):
+    # Counting rejects k = 4 at once; an exhaustive search for a partition
+    # at k = 4 runs for minutes.
+    code, out, _ = run_cli(tmp_path, capsys, "sdepth", instance_text=_band_text(7, 2, 5))
+    assert code == 0
+    assert json.loads(out)["sdepth"] == 3
+
+
+def _spy_on_enumerate(monkeypatch) -> list[int]:
+    """Replace enumerate_quotient wherever a package module holds it; return the call log."""
+    calls: list[int] = []
+    original = poset_module.enumerate_quotient
+
+    def spy(inst):
+        calls.append(inst.n)
+        return original(inst)
+
+    for info in pkgutil.iter_modules(sqfdepth.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"sqfdepth.{info.name}")
+        if getattr(module, "enumerate_quotient", None) is original:
+            monkeypatch.setattr(module, "enumerate_quotient", spy)
+    return calls
+
+
+@pytest.mark.parametrize("op", ["sdepth", "depth", "analyze", "bounds", "strands"])
+def test_cli_op_enumerates_the_poset_once(tmp_path, capsys, monkeypatch, op):
+    assert not hasattr(poset_module.enumerate_quotient, "cache_info")
+    calls = _spy_on_enumerate(monkeypatch)
+    for text in (PAPER, PAPER_JPRIME, _band_text(6, 2, 5)):
+        calls.clear()
+        code, _, _ = run_cli(tmp_path, capsys, op, instance_text=text)
+        assert code == 0
+        assert len(calls) == 1, (op, text)

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
-from sqfdepth import GF2, GF3, RATIONALS, FieldSpec, InputError, SignMatrix, compose_is_zero, rank, rank_pair_check
-from sqfdepth.linalg import rank_bareiss, rank_fraction_gauss, rank_gf2, rank_mod_p
+from sqfdepth import GF2, GF3, RATIONALS, FieldSpec, InputError, SignMatrix, rank
+from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
+
+from oracles import compose_is_zero, rank_fraction_gauss, rank_pair_check
 
 
 def test_field_spec_labels_and_parse():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +26,7 @@ from sqfdepth import (
 )
 from sqfdepth.generate import GeneratorParams, default_params
 
-from oracles import brute_stanley_depth
+from oracles import brute_stanley_depth, counting_bound, hypothesis_violating_instances, untruncated_stanley_depth
 
 
 def mono(n, *indices):
@@ -194,6 +196,42 @@ def test_backtracking_agrees_with_bruteforce_on_small_posets():
         assert value == brute_stanley_depth(inst)
         checked += 1
     assert checked >= 20
+
+
+def test_truncated_search_matches_untruncated_reference():
+    instances = fuzz_instances(n_values=(3, 4, 5, 6), per_n=25, seed=61) + hypothesis_violating_instances()
+    for inst in instances:
+        value, witness = stanley_depth(inst)
+        assert value == untruncated_stanley_depth(inst)[0], inst
+        check = verify_partition(inst, witness)
+        assert check.ok, (inst, check.reason)
+        assert counting_bound(inst) >= value, inst
+
+
+def test_maximal_ideal_n8_has_sdepth_four():
+    inst = validate_pair(8, [mono(8, j) for j in range(1, 9)], [])
+    value, witness = stanley_depth(inst)
+    assert value == 4
+    assert verify_partition(inst, witness).ok
+
+
+def test_stanley_depth_needs_no_recursion():
+    # One layer of 210 elements: the witness is 210 singletons, one search
+    # level each, far past the lowered recursion limit.
+    inst = validate_pair(
+        10,
+        [Monomial.from_support(10, c) for c in combinations(range(1, 11), 4)],
+        [Monomial.from_support(10, c) for c in combinations(range(1, 11), 5)],
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        value, witness = stanley_depth(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == 4
+    assert len(witness.intervals) == 210
+    assert verify_partition(inst, witness).ok
 
 
 def test_conjecture_scan_empty():

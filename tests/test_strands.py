@@ -18,25 +18,25 @@ from sqfdepth import (
     InputError,
     Monomial,
     ValidationError,
-    all_strands,
     boundary_sign,
     build_strand,
-    compose_is_zero,
     exact_depth,
     exact_depth_multi,
-    homology_profile,
     random_instance,
     rank,
-    strand_homology,
     validate_pair,
 )
 from sqfdepth.generate import default_params
 from sqfdepth.linalg import SignMatrix, rank_bareiss
 
 from oracles import (
+    all_strands,
     brute_multidegree_homology,
+    compose_is_zero,
+    homology_profile,
     hypothesis_violating_instances,
     rp2_cone_instance,
+    strand_homology,
     unscreened_depth_multi,
 )
 
