@@ -22,12 +22,12 @@ from .certificates import (
 from .errors import InputError, InternalConsistencyError, TheoremViolationError, ValidationError
 from .generate import GeneratorParams, default_params, random_instance
 from .instancefile import instance_to_json, parse_instance, serialize_instance
-from .linalg import GF2, GF3, RATIONALS, FieldSpec, SignMatrix, rank
+from .linalg import GF2, GF3, RATIONALS, FieldSpec, SignMatrix
 from .monomials import Monomial, MonomialIdeal, QuotientInstance, divides, ideal_contains, minimalize, validate_pair
-from .poset import PosetLayers, RhoTable, alpha_table, enumerate_quotient, poset_elements, rho
+from .poset import PosetLayers, RhoTable, enumerate_quotient
 from .scan import ScanReport, conjecture_scan
 from .stanley import Interval, IntervalPartition, partition_exists, stanley_depth, verify_partition
-from .strands import StrandComplex, boundary_sign, build_strand, exact_depth, exact_depth_multi
+from .strands import StrandComplex, build_strand, exact_depth_multi
 
 __version__ = "0.1.0"
 
@@ -60,9 +60,7 @@ __all__ = [
     "StrandComplex",
     "TheoremViolationError",
     "ValidationError",
-    "alpha_table",
     "analyze",
-    "boundary_sign",
     "build_strand",
     "check_alternating_drop",
     "check_base_drop",
@@ -75,17 +73,13 @@ __all__ = [
     "default_params",
     "divides",
     "enumerate_quotient",
-    "exact_depth",
     "exact_depth_multi",
     "ideal_contains",
     "instance_to_json",
     "minimalize",
     "parse_instance",
     "partition_exists",
-    "poset_elements",
     "random_instance",
-    "rank",
-    "rho",
     "serialize_instance",
     "stanley_depth",
     "validate_pair",

@@ -98,16 +98,14 @@ def check_lower_bound(inst: QuotientInstance) -> Certificate:
     )
 
 
-def check_base_drop(inst: QuotientInstance, poset: PosetLayers | None = None) -> Certificate:
+def check_base_drop(poset: PosetLayers) -> Certificate:
     """A drop from the bottom layer to the next pins depth to d.
 
     rho_d > rho_{d+1} makes the bottom boundary map of the full strand fail
     injectivity by a rank surplus, so depth <= d; with the standing lower
     bound this is equality.
     """
-    if poset is None:
-        poset = enumerate_quotient(inst)
-    d = inst.d
+    d = poset.instance.d
     r_d, r_d1 = poset.rho(d), poset.rho(d + 1)
     fired = r_d > r_d1
     conclusions = ()
@@ -122,16 +120,14 @@ def check_base_drop(inst: QuotientInstance, poset: PosetLayers | None = None) ->
     )
 
 
-def check_alternating_drop(inst: QuotientInstance, poset: PosetLayers | None = None) -> list[Certificate]:
+def check_alternating_drop(poset: PosetLayers) -> list[Certificate]:
     """One certificate per degree t in [d, n]: fires when rho_{t+1} < alpha_t.
 
     A firing always yields depth <= t (either depth < t already, or
     depth >= t and the criterion forces equality); the equality conclusion
     is recorded as conditional on an independent depth >= t.
     """
-    if poset is None:
-        poset = enumerate_quotient(inst)
-    n, d = inst.n, inst.d
+    n, d = poset.instance.n, poset.instance.d
     alpha = dict(poset.alpha_table().alpha)
     out = []
     for t in range(d, n + 1):
@@ -156,10 +152,9 @@ def check_alternating_drop(inst: QuotientInstance, poset: PosetLayers | None = N
     return out
 
 
-def check_principal_gap(inst: QuotientInstance, poset: PosetLayers | None = None) -> Certificate:
+def check_principal_gap(poset: PosetLayers) -> Certificate:
     """Principal I with rho_{d+1} exceeding rho_{d+2} + 1 pins depth to d + 1."""
-    if poset is None:
-        poset = enumerate_quotient(inst)
+    inst = poset.instance
     d = inst.d
     s, q = poset.rho(d + 1), poset.rho(d + 2)
     principal = len(inst.ideal_i.generators) == 1
@@ -174,14 +169,12 @@ def check_principal_gap(inst: QuotientInstance, poset: PosetLayers | None = None
     )
 
 
-def check_layer_sandwich(inst: QuotientInstance, depth: int, poset: PosetLayers | None = None) -> Certificate:
+def check_layer_sandwich(poset: PosetLayers, depth: int) -> Certificate:
     """With depth >= d + 2, the middle layer is sandwiched:
     rho_d <= rho_{d+1} <= rho_d + rho_{d+2}, and rho_{d+2} = 0 forces equality
     on the left.  A violation while fired flags an implementation bug.
     """
-    if poset is None:
-        poset = enumerate_quotient(inst)
-    d = inst.d
+    d = poset.instance.d
     r_d, r_d1, r_d2 = poset.rho(d), poset.rho(d + 1), poset.rho(d + 2)
     fired = depth >= d + 2
     numbers = {"depth": depth, "rho_d": r_d, "rho_d_plus_1": r_d1, "rho_d_plus_2": r_d2}
@@ -205,7 +198,7 @@ def check_layer_sandwich(inst: QuotientInstance, depth: int, poset: PosetLayers 
 
 
 def check_rank_split(
-    inst: QuotientInstance,
+    poset: PosetLayers,
     field: FieldSpec,
     depth: int,
     ranks: RankCache | None = None,
@@ -225,9 +218,9 @@ def check_rank_split(
     multidegree, built here when omitted; its chain-degree-(n-d-i) basis is
     the degree-(d+i) layer, so r is read off it.
     """
-    n, d = inst.n, inst.d
+    n, d = poset.instance.n, poset.instance.d
     if full is None:
-        full = build_strand(inst, Monomial(n, (1 << n) - 1))
+        full = build_strand(poset, Monomial(n, (1 << n) - 1))
     if ranks is None:
         ranks = {}
     out = []
@@ -265,15 +258,13 @@ def check_rank_split(
     return out
 
 
-def counting_certificates(inst: QuotientInstance, poset: PosetLayers | None = None) -> list[Certificate]:
+def counting_certificates(poset: PosetLayers) -> list[Certificate]:
     """The certificates read off rho and alpha alone, in report order."""
-    if poset is None:
-        poset = enumerate_quotient(inst)
     return [
-        check_lower_bound(inst),
-        check_base_drop(inst, poset),
-        *check_alternating_drop(inst, poset),
-        check_principal_gap(inst, poset),
+        check_lower_bound(poset.instance),
+        check_base_drop(poset),
+        *check_alternating_drop(poset),
+        check_principal_gap(poset),
     ]
 
 
@@ -339,23 +330,23 @@ def analyze(
     poset = enumerate_quotient(inst)
     table = poset.alpha_table()
     ranks: RankCache = {}
-    depths_by_field = exact_depth_multi(inst, field_list, ranks, poset)
+    depths_by_field = exact_depth_multi(poset, field_list, ranks)
     depths = {f.label: v for f, v in depths_by_field.items()}
 
     inconsistencies: list[str] = []
-    certificates = counting_certificates(inst, poset)
+    certificates = counting_certificates(poset)
     findings = [c.warning for c in certificates if c.warning]
-    full = build_strand(inst, Monomial(inst.n, (1 << inst.n) - 1), poset)
+    full = build_strand(poset, Monomial(inst.n, (1 << inst.n) - 1))
     for f in field_list:
         depth_f = depths_by_field[f]
         try:
-            sandwich = check_layer_sandwich(inst, depth_f, poset)
+            sandwich = check_layer_sandwich(poset, depth_f)
             sandwich.field = f
             certificates.append(sandwich)
         except TheoremViolationError as exc:
             inconsistencies.append(f"{f.label}: {exc}")
         try:
-            certificates.extend(check_rank_split(inst, f, depth_f, ranks, full))
+            certificates.extend(check_rank_split(poset, f, depth_f, ranks, full))
         except TheoremViolationError as exc:
             inconsistencies.append(f"{f.label}: {exc}")
 
@@ -366,7 +357,7 @@ def analyze(
     witness: IntervalPartition | None = None
     poset_size = len(poset.elements())
     if sdepth_poset_cap is None or poset_size <= sdepth_poset_cap:
-        sdepth_value, witness = stanley_depth(inst, poset)
+        sdepth_value, witness = stanley_depth(poset)
         max_depth = max(depths.values())
         if sdepth_value < max_depth:
             findings.append(

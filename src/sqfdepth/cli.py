@@ -97,7 +97,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_depth(args) -> int:
     inst = _read_instance(args.instance)
     fields = _field_args(args.field, (RATIONALS,))
-    depths = exact_depth_multi(inst, fields)
+    depths = exact_depth_multi(enumerate_quotient(inst), fields)
     _emit({
         "instance": instance_to_json(inst),
         "d": inst.d,
@@ -110,7 +110,7 @@ def _cmd_bounds(args) -> int:
     inst = _read_instance(args.instance)
     poset = enumerate_quotient(inst)
     table = poset.alpha_table()
-    certs = counting_certificates(inst, poset)
+    certs = counting_certificates(poset)
     _emit({
         "instance": instance_to_json(inst),
         "d": inst.d,
@@ -123,7 +123,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_sdepth(args) -> int:
     inst = _read_instance(args.instance)
-    value, witness = stanley_depth(inst)
+    value, witness = stanley_depth(enumerate_quotient(inst))
     _emit({
         "instance": instance_to_json(inst),
         "d": inst.d,
@@ -143,7 +143,7 @@ def _cmd_strands(args) -> int:
         a = Monomial.from_support(inst.n, indices)
     else:
         a = Monomial(inst.n, (1 << inst.n) - 1)
-    strand = build_strand(inst, a)
+    strand = build_strand(enumerate_quotient(inst), a)
     bases = {
         str(i): [list(m.support) for m in strand.basis(i)]
         for i in strand.chain_degrees()

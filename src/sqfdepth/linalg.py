@@ -18,6 +18,9 @@ from typing import Sequence
 
 from .errors import InputError
 
+# Primality is checked by trial division up to sqrt(p): at most ~23k steps below this limit.
+_PRIME_LIMIT = 1 << 31
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -41,7 +44,11 @@ class FieldSpec:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        if self.p >= _PRIME_LIMIT:
+            raise InputError(f"field size {self.p} is not below the limit 2^31 = {_PRIME_LIMIT}")
+        if not _is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
 
     @property
@@ -88,17 +95,6 @@ class SignMatrix:
             for e in r:
                 if e not in (-1, 0, 1):
                     raise InputError(f"entry {e} outside {{-1, 0, +1}}")
-
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[int]], cols: int | None = None) -> SignMatrix:
-        rows = len(entries)
-        if cols is None:
-            cols = len(entries[0]) if rows else 0
-        return cls(rows=rows, cols=cols, entries=tuple(tuple(int(e) for e in r) for r in entries))
-
-    def transpose(self) -> SignMatrix:
-        flipped = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return SignMatrix(self.cols, self.rows, flipped)
 
 
 def rank_bareiss(entries: Sequence[Sequence[int]]) -> int:
@@ -185,12 +181,3 @@ def rank_mod_p(entries: Sequence[Sequence[int]], p: int) -> int:
         if rank == nr:
             break
     return rank
-
-
-def rank(m: SignMatrix, field: FieldSpec = RATIONALS) -> int:
-    """The rank of m with entries reduced into the given field."""
-    if field.is_rationals:
-        return rank_bareiss(m.entries)
-    if field.p == 2:
-        return rank_gf2(m.entries)
-    return rank_mod_p(m.entries, field.p)

@@ -79,26 +79,12 @@ class MonomialIdeal:
     """A square-free monomial ideal given by its minimal generators.
 
     Generators are pairwise incomparable under divisibility and canonically
-    sorted.  Construct through :func:`minimalize`; the constructor verifies
-    the invariants rather than repairing them.
+    sorted.  Construct through :func:`minimalize`, which establishes both
+    invariants; the constructor itself checks nothing.
     """
 
     n: int
     generators: tuple[Monomial, ...]
-
-    def __post_init__(self):
-        prev_key = None
-        for g in self.generators:
-            if g.n != self.n:
-                raise InputError(f"generator {g} has ambient n={g.n}, ideal has n={self.n}")
-            key = g.sort_key()
-            if prev_key is not None and key <= prev_key:
-                raise InputError("generators are not in canonical order")
-            prev_key = key
-        for g in self.generators:
-            for h in self.generators:
-                if g is not h and g.divides(h):
-                    raise InputError(f"generator {g} divides generator {h}")
 
     @property
     def is_zero(self) -> bool:

@@ -3,9 +3,8 @@
 The monomials of I \\ J form a finite poset under divisibility.  Everything
 downstream (counting, strand bases, interval partitions) consumes the same
 stratified enumeration.  It is not cached: each computation enumerates the
-poset once and passes the resulting :class:`PosetLayers` to the functions it
-calls (their ``poset`` argument); a function called without one enumerates
-its own.
+poset once and passes the resulting :class:`PosetLayers`, which carries its
+instance, to every function it calls.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .monomials import Monomial, QuotientInstance, ideal_contains
+from .monomials import Monomial, QuotientInstance
 
 
 @dataclass(frozen=True)
@@ -42,15 +41,13 @@ class PosetLayers:
         """Number of degree-t elements; zero outside the range [d, n]."""
         return len(self.layer(t))
 
-    def alpha_table(self, t: int | None = None) -> RhoTable:
-        """rho for all degrees d..n and alpha for degrees d..t (default t = n)."""
+    def alpha_table(self) -> RhoTable:
+        """rho and alpha for all degrees d..n."""
         n, d = self.instance.n, self.instance.d
-        if t is None:
-            t = n
         rho_pairs = tuple((j, self.rho(j)) for j in range(d, n + 1))
         counts = dict(rho_pairs)
         alpha_pairs = []
-        for j in range(d, t + 1):
+        for j in range(d, n + 1):
             a = sum((-1) ** (j - d + i) * counts[d + i] for i in range(j - d + 1))
             alpha_pairs.append((j, a))
         return RhoTable(d=d, rho=rho_pairs, alpha=tuple(alpha_pairs))
@@ -68,38 +65,25 @@ class RhoTable:
     rho: tuple[tuple[int, int], ...]
     alpha: tuple[tuple[int, int], ...]
 
-    def alpha_at(self, j: int) -> int:
-        return dict(self.alpha)[j]
-
 
 def enumerate_quotient(inst: QuotientInstance) -> PosetLayers:
     """Exactly enumerate {m square-free : m in I, m not in J}, stratified by degree.
 
-    Walks all supports of each size in lexicographic order and filters by
-    ideal membership; at desk scale this is at most 2^n subsets and needs no
-    duplicate handling.
+    Walks all supports of each size in lexicographic order as bitmasks and
+    keeps those that some generator of I divides (g & ~mask == 0) and no
+    generator of J does; at desk scale this is at most 2^n subsets and needs
+    no duplicate handling.  Only the kept supports become monomials.
     """
     n, d = inst.n, inst.d
+    gens_i = [g.mask for g in inst.ideal_i.generators]
+    gens_j = [g.mask for g in inst.ideal_j.generators]
+    bits = [1 << j for j in range(n)]
     rows = []
     for t in range(d, n + 1):
         row = []
-        for combo in itertools.combinations(range(1, n + 1), t):
-            m = Monomial.from_support(n, combo)
-            if ideal_contains(inst.ideal_i, m) and not ideal_contains(inst.ideal_j, m):
-                row.append(m)
+        for combo in itertools.combinations(bits, t):
+            mask = sum(combo)
+            if any(g & ~mask == 0 for g in gens_i) and not any(g & ~mask == 0 for g in gens_j):
+                row.append(Monomial(n, mask))
         rows.append(tuple(row))
     return PosetLayers(inst, tuple(rows))
-
-
-def rho(inst: QuotientInstance, t: int) -> int:
-    """Number of degree-t monomials in I \\ J; zero outside the range [d, n]."""
-    return enumerate_quotient(inst).rho(t)
-
-
-def alpha_table(inst: QuotientInstance, t: int | None = None) -> RhoTable:
-    """rho for all degrees d..n and alpha for degrees d..t (default t = n)."""
-    return enumerate_quotient(inst).alpha_table(t)
-
-
-def poset_elements(inst: QuotientInstance) -> tuple[Monomial, ...]:
-    return enumerate_quotient(inst).elements()

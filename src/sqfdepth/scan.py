@@ -84,13 +84,13 @@ def conjecture_scan(
     for index in range(count):
         inst = random_instance(params, rng)
         poset = enumerate_quotient(inst)
-        depths = exact_depth_multi(inst, (RATIONALS, GF2), poset=poset)
+        depths = exact_depth_multi(poset, (RATIONALS, GF2))
         depth_map = {f.label: v for f, v in depths.items()}
-        fired_ts = [c.t for c in check_alternating_drop(inst, poset) if c.fired]
+        fired_ts = [c.t for c in check_alternating_drop(poset) if c.fired]
         min_fired = min(fired_ts) if fired_ts else None
         sdepth_value: int | None = None
         if max_sdepth_poset is None or len(poset.elements()) <= max_sdepth_poset:
-            sdepth_value, _ = stanley_depth(inst, poset)
+            sdepth_value, _ = stanley_depth(poset)
             if sdepth_value < max(depth_map.values()):
                 stanley_violations.append(index)
             if min_fired is not None and sdepth_value < min_fired:

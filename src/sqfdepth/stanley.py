@@ -57,7 +57,7 @@ from math import comb
 
 from .errors import InputError
 from .monomials import Monomial, QuotientInstance
-from .poset import PosetLayers, enumerate_quotient, poset_elements
+from .poset import PosetLayers, enumerate_quotient
 
 _FAILED_STATES_CAP = 1 << 18
 
@@ -68,14 +68,6 @@ class Interval:
 
     bottom: Monomial
     top: Monomial
-
-    def members(self, inst: QuotientInstance) -> tuple[Monomial, ...]:
-        """All poset monomials between bottom and top, canonical order."""
-        return tuple(
-            m
-            for m in poset_elements(inst)
-            if self.bottom.mask & ~m.mask == 0 and m.mask & ~self.top.mask == 0
-        )
 
 
 @dataclass(frozen=True)
@@ -106,10 +98,12 @@ def verify_partition(inst: QuotientInstance, partition: IntervalPartition) -> Pa
 
     Interval membership is re-derived over all square-free monomials between
     bottom and top, so a top or an inner point escaping the poset is caught
-    even though valid endpoints make that impossible.
+    even though valid endpoints make that impossible.  The poset is
+    enumerated afresh from the instance, so the check does not rely on the
+    enumeration the search was given.
     """
-    poset = poset_elements(inst)
-    poset_masks = {m.mask for m in poset}
+    elements = enumerate_quotient(inst).elements()
+    poset_masks = {m.mask for m in elements}
     covered: set[int] = set()
     min_top = None
     for iv in partition.intervals:
@@ -139,8 +133,8 @@ def verify_partition(inst: QuotientInstance, partition: IntervalPartition) -> Pa
             sub = (sub - 1) & between
         top_deg = iv.top.degree
         min_top = top_deg if min_top is None else min(min_top, top_deg)
-    if len(covered) != len(poset):
-        missing = next(m for m in poset if m.mask not in covered)
+    if len(covered) != len(elements):
+        missing = next(m for m in elements if m.mask not in covered)
         return PartitionCheck(False, f"element {missing} is not covered")
     if min_top != partition.sdepth_value:
         return PartitionCheck(
@@ -209,21 +203,17 @@ def _search(masks: list[int], index: dict[int, int], size: int, candidates: list
         cover, u, pos, _ = stack.pop()
 
 
-def partition_exists(
-    inst: QuotientInstance, k: int, poset: PosetLayers | None = None
-) -> IntervalPartition | None:
+def partition_exists(poset: PosetLayers, k: int) -> IntervalPartition | None:
     """A partition with every top of degree >= k, if one exists.
 
     Rejects k at once when the counting quotas fail, then searches P<=k for
     a partition into intervals with tops of degree exactly k; the witness is
     those intervals followed by a singleton for each element of degree > k,
     in canonical order.  See the module docstring for why this is exact.
-    ``poset`` is the instance's enumeration, built here when omitted.
     """
+    inst = poset.instance
     if k < inst.d:
         raise InputError(f"target {k} is below the minimal poset degree {inst.d}")
-    if poset is None:
-        poset = enumerate_quotient(inst)
     if not _quotas_feasible(poset, k):
         return None
     elements = poset.elements()
@@ -248,19 +238,17 @@ def partition_exists(
     return IntervalPartition(intervals=intervals, sdepth_value=k)
 
 
-def stanley_depth(inst: QuotientInstance, poset: PosetLayers | None = None) -> tuple[int, IntervalPartition]:
+def stanley_depth(poset: PosetLayers) -> tuple[int, IntervalPartition]:
     """The largest feasible target together with a witness partition.
 
     Descends from the largest degree present in the poset, calling
     :func:`partition_exists` once per target; the floor k = d is always
-    feasible (singleton intervals), so a witness always exists.  ``poset``
-    is the instance's enumeration, built here when omitted.
+    feasible (singleton intervals), so a witness always exists.
     """
-    if poset is None:
-        poset = enumerate_quotient(inst)
+    inst = poset.instance
     top_degree = max(t for t in range(inst.d, inst.n + 1) if poset.layer(t))
     for k in range(top_degree, inst.d - 1, -1):
-        partition = partition_exists(inst, k, poset)
+        partition = partition_exists(poset, k)
         if partition is not None:
             return k, partition
     raise AssertionError("unreachable: singleton partition at k = d always exists")

@@ -22,28 +22,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError, InternalConsistencyError
-from .linalg import GF2, RATIONALS, FieldSpec, SignMatrix, rank_bareiss, rank_gf2, rank_mod_p
-from .monomials import Monomial, QuotientInstance, ideal_contains
-from .poset import PosetLayers, enumerate_quotient
-
-
-def boundary_sign(f: Monomial, b: Monomial, ambient: Monomial) -> int:
-    """Transition coefficient from basis monomial f to b inside the given strand.
-
-    Zero unless f divides b with deg b = deg f + 1; otherwise (-1)^(p+1)
-    where p is the position of the new variable of b in the increasing
-    enumeration of supp(ambient) \\ supp(f).
-    """
-    if f.n != b.n or f.n != ambient.n:
-        raise InputError("ambient mismatch between monomials")
-    if f.mask & ~ambient.mask or b.mask & ~ambient.mask:
-        raise InputError("monomials must divide the strand multidegree")
-    diff = b.mask & ~f.mask
-    if f.mask & ~b.mask or diff.bit_count() != 1:
-        return 0
-    comp = ambient.mask & ~f.mask
-    pos = (comp & (diff - 1)).bit_count() + 1
-    return 1 if pos % 2 else -1
+from .linalg import GF2, FieldSpec, SignMatrix, rank_bareiss, rank_gf2, rank_mod_p
+from .monomials import Monomial
+from .poset import PosetLayers
 
 
 Rows = tuple[tuple[int, ...], ...]
@@ -107,21 +88,17 @@ def _boundary_rows(a: Monomial, source: tuple[Monomial, ...], target: tuple[Mono
     return tuple(map(tuple, rows))
 
 
-def build_strand(inst: QuotientInstance, a: Monomial, poset: PosetLayers | None = None) -> StrandComplex:
+def build_strand(poset: PosetLayers, a: Monomial) -> StrandComplex:
     """Assemble the strand at multidegree a: bases and boundary matrices.
 
     The chain-degree-i basis consists exactly of the quotient-poset monomials
     of degree deg(a) - i dividing a.  An empty strand (all bases empty) is a
     valid result.  Matrices are bare int rows; labels are made by callers
-    that print them, from the bases.  ``poset`` is the instance's
-    enumeration, built here when omitted.
+    that print them, from the bases.
     """
-    if a.n != inst.n:
-        raise InputError(f"multidegree has ambient n={a.n}, instance has n={inst.n}")
-    layers = enumerate_quotient(inst) if poset is None else poset
     size = a.degree
     bases = tuple(
-        tuple(m for m in layers.layer(size - i) if m.mask & ~a.mask == 0)
+        tuple(m for m in poset.layer(size - i) if m.mask & ~a.mask == 0)
         for i in range(size + 1)
     )
     matrices = ((),) + tuple(_boundary_rows(a, bases[i], bases[i - 1]) for i in range(1, size + 1))
@@ -168,10 +145,9 @@ def _homology_dim(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCa
 
 
 def exact_depth_multi(
-    inst: QuotientInstance,
+    poset: PosetLayers,
     fields: Sequence[FieldSpec],
     ranks: RankCache | None = None,
-    poset: PosetLayers | None = None,
 ) -> dict[FieldSpec, int]:
     """Exact depth over several fields in one scan of the square-free multidegrees.
 
@@ -179,6 +155,8 @@ def exact_depth_multi(
     chain degree i}.  A strand at multidegree a has chain degrees at most
     deg(a) - d, which prunes the scan: once every field's running maximum
     reaches that bound, the remaining (smaller) multidegrees cannot raise it.
+    Only multidegrees in I carry a strand, and membership is read off the
+    generator masks; a monomial and a strand are built for those alone.
 
     Within a strand only the chain degrees above the field's running maximum
     can matter; they are visited from the top down and the first one with
@@ -192,16 +170,15 @@ def exact_depth_multi(
     Every rank computed is stored in ``ranks`` (a fresh dict when omitted),
     so a caller that passes the same dict to :func:`check_rank_split` reuses
     the ranks of the full strand instead of eliminating them again.
-    ``poset`` is the instance's enumeration, built here when omitted.
     """
     field_list = list(dict.fromkeys(fields))
     if not field_list:
         raise InputError("need at least one field")
     if ranks is None:
         ranks = {}
-    if poset is None:
-        poset = enumerate_quotient(inst)
+    inst = poset.instance
     n, d = inst.n, inst.d
+    gens_i = [g.mask for g in inst.ideal_i.generators]
     best = {f: -1 for f in field_list}
     by_size: dict[int, list[int]] = {}
     for mask in range(1 << n):
@@ -211,10 +188,9 @@ def exact_depth_multi(
         if bound <= min(best.values()):
             break
         for mask in by_size.get(size, ()):
-            a = Monomial(n, mask)
-            if not ideal_contains(inst.ideal_i, a):
+            if not any(g & ~mask == 0 for g in gens_i):
                 continue
-            strand = build_strand(inst, a, poset)
+            strand = build_strand(poset, Monomial(n, mask))
             if strand.is_empty:
                 continue
             for f in field_list:
@@ -230,8 +206,3 @@ def exact_depth_multi(
         if top < 0:
             raise InternalConsistencyError("empty homology scan on a validated instance")
     return {f: n - top for f, top in best.items()}
-
-
-def exact_depth(inst: QuotientInstance, field: FieldSpec = RATIONALS) -> int:
-    """Exact depth of the quotient over the given coefficient field."""
-    return exact_depth_multi(inst, (field,))[field]

@@ -7,6 +7,9 @@ oracle enumerates every interval partition outright.  The unscreened depth
 scan is the reference route for the package's screened scan, the
 untruncated exact-cover search the reference route for its Stanley search,
 and Gaussian elimination on Fractions the reference route for Bareiss.
+The small helpers at the top (per-instance rho/alpha/elements, interval
+members, single-field depth, rank of a checked matrix, boundary signs)
+are conveniences that only the tests use; each enumerates its own poset.
 """
 
 from __future__ import annotations
@@ -28,19 +31,94 @@ from sqfdepth import (
     IntervalPartition,
     Monomial,
     QuotientInstance,
+    RhoTable,
     SignMatrix,
     StrandComplex,
     ValidationError,
     build_strand,
     enumerate_quotient,
+    exact_depth_multi,
     ideal_contains,
-    poset_elements,
-    rank,
-    rho,
     validate_pair,
 )
 from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
 from sqfdepth.strands import strand_rank
+
+
+def rho(inst: QuotientInstance, t: int) -> int:
+    """Number of degree-t monomials in I \\ J; zero outside the range [d, n]."""
+    return enumerate_quotient(inst).rho(t)
+
+
+def alpha_table(inst: QuotientInstance) -> RhoTable:
+    """rho and alpha for all degrees d..n."""
+    return enumerate_quotient(inst).alpha_table()
+
+
+def alpha_at(table: RhoTable, j: int) -> int:
+    return dict(table.alpha)[j]
+
+
+def poset_elements(inst: QuotientInstance) -> tuple[Monomial, ...]:
+    return enumerate_quotient(inst).elements()
+
+
+def interval_members(interval: Interval, inst: QuotientInstance) -> tuple[Monomial, ...]:
+    """All poset monomials between the interval's bottom and top, canonical order."""
+    return tuple(
+        m
+        for m in poset_elements(inst)
+        if interval.bottom.mask & ~m.mask == 0 and m.mask & ~interval.top.mask == 0
+    )
+
+
+def exact_depth(inst: QuotientInstance, field: FieldSpec = RATIONALS) -> int:
+    """Exact depth of the quotient over one field, from its own enumeration."""
+    return exact_depth_multi(enumerate_quotient(inst), (field,))[field]
+
+
+def from_rows(entries: Sequence[Sequence[int]], cols: int | None = None) -> SignMatrix:
+    rows = len(entries)
+    if cols is None:
+        cols = len(entries[0]) if rows else 0
+    return SignMatrix(rows=rows, cols=cols, entries=tuple(tuple(int(e) for e in r) for r in entries))
+
+
+def transpose(m: SignMatrix) -> SignMatrix:
+    flipped = tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))
+    return SignMatrix(m.cols, m.rows, flipped)
+
+
+def _raw_rank(entries, field: FieldSpec) -> int:
+    if field.is_rationals:
+        return rank_bareiss(entries)
+    if field.p == 2:
+        return rank_gf2(entries)
+    return rank_mod_p(entries, field.p)
+
+
+def rank(m: SignMatrix, field: FieldSpec = RATIONALS) -> int:
+    """The rank of m with entries reduced into the given field."""
+    return _raw_rank(m.entries, field)
+
+
+def boundary_sign(f: Monomial, b: Monomial, ambient: Monomial) -> int:
+    """Transition coefficient from basis monomial f to b inside the given strand.
+
+    Zero unless f divides b with deg b = deg f + 1; otherwise (-1)^(p+1)
+    where p is the position of the new variable of b in the increasing
+    enumeration of supp(ambient) \\ supp(f).
+    """
+    if f.n != b.n or f.n != ambient.n:
+        raise InputError("ambient mismatch between monomials")
+    if f.mask & ~ambient.mask or b.mask & ~ambient.mask:
+        raise InputError("monomials must divide the strand multidegree")
+    diff = b.mask & ~f.mask
+    if f.mask & ~b.mask or diff.bit_count() != 1:
+        return 0
+    comp = ambient.mask & ~f.mask
+    pos = (comp & (diff - 1)).bit_count() + 1
+    return 1 if pos % 2 else -1
 
 
 def rank_fraction_gauss(entries: Sequence[Sequence[int]]) -> int:
@@ -119,7 +197,7 @@ def all_strands(inst: QuotientInstance) -> Iterator[StrandComplex]:
         a = Monomial(inst.n, mask)
         if not ideal_contains(inst.ideal_i, a):
             continue
-        strand = build_strand(inst, a, poset)
+        strand = build_strand(poset, a)
         if not strand.is_empty:
             yield strand
 
@@ -140,7 +218,7 @@ def _strand_homology(strand: StrandComplex, field: FieldSpec) -> dict[int, int]:
 
 def strand_homology(inst: QuotientInstance, a: Monomial, field: FieldSpec = RATIONALS) -> dict[int, int]:
     """Homology dimension per chain degree with nonempty basis: r - rank(in) - rank(out)."""
-    return _strand_homology(build_strand(inst, a), field)
+    return _strand_homology(build_strand(enumerate_quotient(inst), a), field)
 
 
 @dataclass(frozen=True)
@@ -178,14 +256,6 @@ def brute_quotient_member(inst: QuotientInstance, exponents: tuple[int, ...]) ->
     return general_member(list(inst.ideal_i.generators), exponents) and not general_member(
         list(inst.ideal_j.generators), exponents
     )
-
-
-def _raw_rank(entries, field: FieldSpec) -> int:
-    if field.is_rationals:
-        return rank_bareiss(entries)
-    if field.p == 2:
-        return rank_gf2(entries)
-    return rank_mod_p(entries, field.p)
 
 
 def brute_multidegree_homology(

@@ -26,9 +26,7 @@ from sqfdepth import (
     enumerate_quotient,
     exact_depth_multi,
     parse_instance,
-    poset_elements,
     random_instance,
-    rho,
     stanley_depth,
     validate_pair,
     verify_partition,
@@ -36,7 +34,15 @@ from sqfdepth import (
 from sqfdepth.generate import default_params
 from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
 
-from oracles import all_strands, brute_multidegree_homology, brute_stanley_depth, compose_is_zero, rank_fraction_gauss
+from oracles import (
+    all_strands,
+    brute_multidegree_homology,
+    brute_stanley_depth,
+    compose_is_zero,
+    poset_elements,
+    rank_fraction_gauss,
+    rho,
+)
 
 PAPER = '{"n":4,"I":[[1],[3]],"J":[[1,4]]}'
 PAPER_JPRIME = '{"n":4,"I":[[1],[3]],"J":[[1,4],[2,3,4]]}'
@@ -240,12 +246,12 @@ def _principal_instances(count: int, seed: int):
 
 def test_criterion_06_principal_instances():
     golden = parse_instance('{"n":4,"I":[[1]],"J":[[1,2,3],[1,2,4],[1,3,4]]}')
-    depths = exact_depth_multi(golden, (RATIONALS, GF2))
+    depths = exact_depth_multi(enumerate_quotient(golden), (RATIONALS, GF2))
     assert depths[RATIONALS] == 2 and depths[GF2] == 2
 
     checked = 0
     for inst in _principal_instances(50, seed=60):
-        depths = exact_depth_multi(inst, (RATIONALS, GF2))
+        depths = exact_depth_multi(enumerate_quotient(inst), (RATIONALS, GF2))
         assert depths[RATIONALS] == inst.d + 1, f"{inst}"
         assert depths[GF2] == inst.d + 1, f"{inst}"
         checked += 1
@@ -262,7 +268,7 @@ def test_criterion_07_layer_sandwich(sweep: SweepData):
 
 def test_criterion_08_stanley_engine():
     inst = parse_instance(PAPER)
-    value, witness = stanley_depth(inst)
+    value, witness = stanley_depth(enumerate_quotient(inst))
     assert value == 3
     assert verify_partition(inst, witness).ok
 
@@ -274,7 +280,7 @@ def test_criterion_08_stanley_engine():
         for _ in range(60):
             cand = random_instance(params, rng)
             if len(poset_elements(cand)) <= 12:
-                got, _ = stanley_depth(cand)
+                got, _ = stanley_depth(enumerate_quotient(cand))
                 assert got == brute_stanley_depth(cand), f"{cand}"
                 small_checked += 1
     assert small_checked >= 40

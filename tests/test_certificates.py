@@ -16,15 +16,14 @@ from sqfdepth import (
     check_lower_bound,
     check_principal_gap,
     check_rank_split,
-    exact_depth,
+    enumerate_quotient,
     random_instance,
-    rho,
     validate_pair,
 )
 from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS
 from sqfdepth.generate import default_params
 
-from oracles import hypothesis_violating_instances
+from oracles import exact_depth, hypothesis_violating_instances, rho
 
 
 def mono(n, *indices):
@@ -71,26 +70,26 @@ def test_lower_bound_warns_when_hypothesis_fails():
 
 
 def test_base_drop_golden_cases():
-    fired = check_base_drop(pure_powers_instance())
+    fired = check_base_drop(enumerate_quotient(pure_powers_instance()))
     assert fired.fired and fired.numbers == {"rho_d": 3, "rho_d_plus_1": 0}
     assert exact_depth(pure_powers_instance()) == 1
 
-    assert not check_base_drop(paper_instance()).fired
+    assert not check_base_drop(enumerate_quotient(paper_instance())).fired
 
     one_var = validate_pair(1, [mono(1, 1)], [])
-    cert = check_base_drop(one_var)
+    cert = check_base_drop(enumerate_quotient(one_var))
     assert cert.fired
     assert exact_depth(one_var) == 1
 
 
 def test_alternating_drop_golden_cases():
     # tight instance: rho_3 = alpha_2, no firing at t = 2
-    certs = {c.t: c for c in check_alternating_drop(paper_instance())}
+    certs = {c.t: c for c in check_alternating_drop(enumerate_quotient(paper_instance()))}
     assert not certs[2].fired
     assert certs[2].numbers == {"rho_t_plus_1": 2, "alpha_t": 2}
     assert not any(c.fired and c.t < 3 for c in certs.values())
 
-    certs = {c.t: c for c in check_alternating_drop(paper_instance_jprime())}
+    certs = {c.t: c for c in check_alternating_drop(enumerate_quotient(paper_instance_jprime()))}
     assert certs[2].fired
     assert certs[2].numbers == {"rho_t_plus_1": 1, "alpha_t": 2}
     kinds = {c.kind for c in certs[2].conclusions}
@@ -100,8 +99,8 @@ def test_alternating_drop_golden_cases():
 
 def test_alternating_drop_at_t_d_matches_base_drop():
     for inst in fuzz_instances():
-        base = check_base_drop(inst)
-        drop_at_d = next(c for c in check_alternating_drop(inst) if c.t == inst.d)
+        base = check_base_drop(enumerate_quotient(inst))
+        drop_at_d = next(c for c in check_alternating_drop(enumerate_quotient(inst)) if c.t == inst.d)
         assert base.fired == drop_at_d.fired
 
 
@@ -109,16 +108,16 @@ def test_principal_gap_golden_cases():
     inst = validate_pair(
         4, [mono(4, 1)], [mono(4, 1, 2, 3), mono(4, 1, 2, 4), mono(4, 1, 3, 4)]
     )
-    cert = check_principal_gap(inst)
+    cert = check_principal_gap(enumerate_quotient(inst))
     assert cert.fired
     assert cert.numbers["s"] == 3 and cert.numbers["q"] == 0
     assert cert.conclusions[0].kind == DEPTH_EQUALS and cert.conclusions[0].value == 2
     assert exact_depth(inst) == 2
 
     thin = validate_pair(4, [mono(4, 1)], [mono(4, 1, 3), mono(4, 1, 4)])
-    assert not check_principal_gap(thin).fired  # s = 1 <= q + 1
+    assert not check_principal_gap(enumerate_quotient(thin)).fired  # s = 1 <= q + 1
 
-    assert not check_principal_gap(paper_instance()).fired  # I not principal
+    assert not check_principal_gap(enumerate_quotient(paper_instance())).fired  # I not principal
 
 
 def test_principal_gap_with_positive_q():
@@ -128,7 +127,7 @@ def test_principal_gap_with_positive_q():
         [mono(5, 1)],
         [mono(5, 1, 2, 4), mono(5, 1, 2, 5), mono(5, 1, 3, 4), mono(5, 1, 3, 5), mono(5, 1, 4, 5)],
     )
-    cert = check_principal_gap(inst)
+    cert = check_principal_gap(enumerate_quotient(inst))
     assert cert.fired
     assert cert.numbers == {"s": 4, "q": 1, "generators_of_I": 1}
     assert exact_depth(inst) == 2
@@ -139,21 +138,21 @@ def test_layer_sandwich_golden_cases():
     free = validate_pair(3, [mono(3, 1)], [])
     depth = exact_depth(free)
     assert depth == 3
-    cert = check_layer_sandwich(free, depth)
+    cert = check_layer_sandwich(enumerate_quotient(free), depth)
     assert cert.fired
     assert cert.numbers["rho_d"] == 1 and cert.numbers["rho_d_plus_1"] == 2
 
     inst = paper_instance()
-    cert = check_layer_sandwich(inst, exact_depth(inst))
+    cert = check_layer_sandwich(enumerate_quotient(inst), exact_depth(inst))
     assert cert.fired  # 2 <= 4 <= 2 + 2, tight
 
     low = pure_powers_instance()
-    assert not check_layer_sandwich(low, exact_depth(low)).fired
+    assert not check_layer_sandwich(enumerate_quotient(low), exact_depth(low)).fired
 
 
 def test_rank_split_golden_cases():
     inst = paper_instance()
-    certs = check_rank_split(inst, RATIONALS, exact_depth(inst))
+    certs = check_rank_split(enumerate_quotient(inst), RATIONALS, exact_depth(inst))
     by_i = {c.numbers["i"]: c for c in certs}
     assert by_i[0].fired and by_i[0].numbers["r"] == 2
     assert by_i[0].numbers["rank_in"] == 0 and by_i[0].numbers["rank_out"] == 2
@@ -162,7 +161,7 @@ def test_rank_split_golden_cases():
     assert not by_i[2].fired
 
     jp = paper_instance_jprime()
-    certs = check_rank_split(jp, RATIONALS, exact_depth(jp))
+    certs = check_rank_split(enumerate_quotient(jp), RATIONALS, exact_depth(jp))
     by_i = {c.numbers["i"]: c for c in certs}
     assert by_i[1].fired
     assert by_i[1].conclusions[0].kind == DEPTH_AT_MOST
@@ -174,7 +173,7 @@ def test_rank_split_exactness_form():
     for inst in fuzz_instances(per_n=10):
         for field in (RATIONALS, GF2):
             depth = exact_depth(inst, field)
-            for cert in check_rank_split(inst, field, depth):
+            for cert in check_rank_split(enumerate_quotient(inst), field, depth):
                 if inst.d + cert.numbers["i"] < depth:
                     r, rank_in, rank_out = (
                         cert.numbers["r"],

@@ -7,17 +7,31 @@ import itertools
 import json
 import pkgutil
 import random
+import time
 
 import pytest
 
 import sqfdepth
 import sqfdepth.poset as poset_module
 from sqfdepth import (
+    GF2,
+    RATIONALS,
     Monomial,
     ValidationError,
+    build_strand,
+    check_alternating_drop,
+    check_base_drop,
+    check_layer_sandwich,
+    check_principal_gap,
+    check_rank_split,
+    counting_certificates,
+    enumerate_quotient,
+    exact_depth_multi,
     parse_instance,
+    partition_exists,
     random_instance,
     serialize_instance,
+    stanley_depth,
     validate_pair,
     verify_partition,
 )
@@ -256,12 +270,52 @@ def _spy_on_enumerate(monkeypatch) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("op", ["sdepth", "depth", "analyze", "bounds", "strands"])
+@pytest.mark.parametrize("op", ["sdepth", "depth", "analyze", "bounds", "strands", "scan"])
 def test_cli_op_enumerates_the_poset_once(tmp_path, capsys, monkeypatch, op):
     assert not hasattr(poset_module.enumerate_quotient, "cache_info")
     calls = _spy_on_enumerate(monkeypatch)
+    if op == "scan":
+        # Once per generated instance.
+        for n, count in ((4, 7), (6, 3)):
+            calls.clear()
+            code, _, _ = run_cli(tmp_path, capsys, "scan", "--n", str(n), "--count", str(count), "--seed", "1")
+            assert code == 0
+            assert len(calls) == count, (n, count)
+        return
     for text in (PAPER, PAPER_JPRIME, _band_text(6, 2, 5)):
         calls.clear()
         code, _, _ = run_cli(tmp_path, capsys, op, instance_text=text)
         assert code == 0
         assert len(calls) == 1, (op, text)
+
+
+def test_core_functions_given_a_poset_do_not_enumerate(monkeypatch):
+    posets = [enumerate_quotient(parse_instance(t)) for t in (PAPER, PAPER_JPRIME, _band_text(6, 2, 5))]
+    calls = _spy_on_enumerate(monkeypatch)
+    for poset in posets:
+        inst = poset.instance
+        ranks = {}
+        depths = exact_depth_multi(poset, (RATIONALS, GF2), ranks)
+        build_strand(poset, Monomial(inst.n, (1 << inst.n) - 1))
+        check_base_drop(poset)
+        check_alternating_drop(poset)
+        check_principal_gap(poset)
+        counting_certificates(poset)
+        check_layer_sandwich(poset, depths[RATIONALS])
+        check_rank_split(poset, RATIONALS, depths[RATIONALS], ranks)
+        check_rank_split(poset, GF2, depths[GF2])
+        partition_exists(poset, inst.d)
+        stanley_depth(poset)
+    assert calls == []
+
+
+def test_cli_rejects_a_field_size_past_the_limit_at_once(tmp_path, capsys):
+    # Trial division up to sqrt(p) would take minutes on a prime near 10^18.
+    start = time.perf_counter()
+    code, _, err = run_cli(tmp_path, capsys, "depth", "--field", "gf:1000000000000000003", instance_text=PAPER)
+    assert code == 2
+    assert "2^31" in err
+    assert time.perf_counter() - start < 5
+    code, out, _ = run_cli(tmp_path, capsys, "depth", "--field", "gf:2147483647", instance_text=PAPER)
+    assert code == 0
+    assert json.loads(out)["depth"] == {"gf:2147483647": 3}

@@ -1,0 +1,35 @@
+"""A stdlib lint gate for the package sources: no unused imports, no stale exports."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import sqfdepth
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sqfdepth"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [(alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))  # a name listed in __all__ is re-exported
+    return [f"{path.name}:{line} {name}" for name, line in imported if name not in used]
+
+
+def test_module_level_imports_are_used():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+def test_package_all_entries_resolve():
+    assert [name for name in sqfdepth.__all__ if not hasattr(sqfdepth, name)] == []
+    assert len(set(sqfdepth.__all__)) == len(sqfdepth.__all__)

@@ -150,3 +150,17 @@ def test_ideal_contains_matches_bruteforce_span(gens):
         m = Monomial(6, mask)
         expected = any(g.mask & ~mask == 0 for g in gens)
         assert ideal_contains(ideal, m) == expected
+
+
+@given(gen_lists(max_gens=8))
+def test_minimalize_output_is_a_canonical_antichain_with_the_same_span(gens):
+    # minimalize is the only constructor of MonomialIdeal, which checks nothing itself.
+    ideal = minimalize(6, gens)
+    keys = [g.sort_key() for g in ideal.generators]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for k, g in enumerate(ideal.generators):
+        for h in ideal.generators[k + 1:]:
+            assert not divides(g, h) and not divides(h, g)
+    for mask in range(1 << 6):
+        spanned = any(g.mask & ~mask == 0 for g in gens)
+        assert any(g.mask & ~mask == 0 for g in ideal.generators) == spanned

