@@ -24,7 +24,7 @@ from .generate import GeneratorParams, default_params, random_instance
 from .instancefile import instance_to_json, parse_instance, serialize_instance
 from .linalg import GF2, GF3, RATIONALS, FieldSpec, SignMatrix
 from .monomials import Monomial, MonomialIdeal, QuotientInstance, divides, ideal_contains, minimalize, validate_pair
-from .poset import PosetLayers, RhoTable, enumerate_quotient
+from .poset import PosetLayers, enumerate_quotient
 from .scan import ScanReport, conjecture_scan
 from .stanley import Interval, IntervalPartition, partition_exists, stanley_depth, verify_partition
 from .strands import StrandComplex, build_strand, exact_depth_multi
@@ -54,7 +54,6 @@ __all__ = [
     "PosetLayers",
     "QuotientInstance",
     "RATIONALS",
-    "RhoTable",
     "ScanReport",
     "SignMatrix",
     "StrandComplex",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import TheoremViolationError
 from .linalg import GF2, RATIONALS, FieldSpec
-from .monomials import Monomial, QuotientInstance
+from .monomials import QuotientInstance
 from .poset import PosetLayers, enumerate_quotient
 from .stanley import IntervalPartition, stanley_depth
 from .strands import RankCache, StrandComplex, build_strand, exact_depth_multi, strand_rank
@@ -128,7 +128,7 @@ def check_alternating_drop(poset: PosetLayers) -> list[Certificate]:
     is recorded as conditional on an independent depth >= t.
     """
     n, d = poset.instance.n, poset.instance.d
-    alpha = dict(poset.alpha_table().alpha)
+    alpha = poset.alpha_table()
     out = []
     for t in range(d, n + 1):
         r_next = poset.rho(t + 1)
@@ -220,7 +220,7 @@ def check_rank_split(
     """
     n, d = poset.instance.n, poset.instance.d
     if full is None:
-        full = build_strand(poset, Monomial(n, (1 << n) - 1))
+        full = build_strand(poset, (1 << n) - 1)
     if ranks is None:
         ranks = {}
     out = []
@@ -328,7 +328,6 @@ def analyze(
     """
     field_list = tuple(dict.fromkeys(fields)) or (RATIONALS,)
     poset = enumerate_quotient(inst)
-    table = poset.alpha_table()
     ranks: RankCache = {}
     depths_by_field = exact_depth_multi(poset, field_list, ranks)
     depths = {f.label: v for f, v in depths_by_field.items()}
@@ -336,7 +335,7 @@ def analyze(
     inconsistencies: list[str] = []
     certificates = counting_certificates(poset)
     findings = [c.warning for c in certificates if c.warning]
-    full = build_strand(poset, Monomial(inst.n, (1 << inst.n) - 1))
+    full = build_strand(poset, (1 << inst.n) - 1)
     for f in field_list:
         depth_f = depths_by_field[f]
         try:
@@ -373,8 +372,8 @@ def analyze(
         instance=inst,
         d=inst.d,
         hypothesis_flag=inst.hypothesis_flag,
-        rho=dict(table.rho),
-        alpha=dict(table.alpha),
+        rho=poset.rho_table(),
+        alpha=poset.alpha_table(),
         certificates=certificates,
         depth=depths,
         sdepth=sdepth_value,

@@ -16,7 +16,7 @@ from pathlib import Path
 from .certificates import AnalysisReport, analyze, counting_certificates
 from .errors import InputError, InternalConsistencyError, ValidationError
 from .generate import default_params
-from .instancefile import instance_to_json, parse_instance
+from .instancefile import MAX_VARIABLES, instance_to_json, parse_instance
 from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import Monomial, QuotientInstance
 from .poset import enumerate_quotient
@@ -38,13 +38,13 @@ def _field_args(values: list[str] | None, default: tuple[FieldSpec, ...]) -> tup
 def _read_instance(path: str) -> QuotientInstance:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     return parse_instance(text)
 
 
 def _emit(doc: dict, pretty_lines: list[str] | None = None) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(doc, sort_keys=True))
     if pretty_lines:
         print("\n".join(pretty_lines), file=sys.stderr)
 
@@ -109,13 +109,12 @@ def _cmd_depth(args) -> int:
 def _cmd_bounds(args) -> int:
     inst = _read_instance(args.instance)
     poset = enumerate_quotient(inst)
-    table = poset.alpha_table()
     certs = counting_certificates(poset)
     _emit({
         "instance": instance_to_json(inst),
         "d": inst.d,
-        "rho": {str(t): v for t, v in table.rho},
-        "alpha": {str(t): v for t, v in table.alpha},
+        "rho": {str(t): v for t, v in poset.rho_table().items()},
+        "alpha": {str(t): v for t, v in poset.alpha_table().items()},
         "certificates": [c.to_json_dict() for c in certs],
     })
     return EXIT_OK
@@ -135,19 +134,17 @@ def _cmd_sdepth(args) -> int:
 
 def _cmd_strands(args) -> int:
     inst = _read_instance(args.instance)
+    n = inst.n
     if args.multidegree:
         try:
             indices = [int(part) for part in args.multidegree.split(",") if part]
         except ValueError:
             raise ValidationError(f"bad multidegree {args.multidegree!r}; expected comma-separated indices")
-        a = Monomial.from_support(inst.n, indices)
+        a = Monomial.from_support(n, indices)
     else:
-        a = Monomial(inst.n, (1 << inst.n) - 1)
-    strand = build_strand(enumerate_quotient(inst), a)
-    bases = {
-        str(i): [list(m.support) for m in strand.basis(i)]
-        for i in strand.chain_degrees()
-    }
+        a = Monomial(n, (1 << n) - 1)
+    strand = build_strand(enumerate_quotient(inst), a.mask)
+    bases = {i: [Monomial(n, m) for m in strand.basis(i)] for i in strand.chain_degrees()}
     boundaries = {}
     for i in strand.chain_degrees():
         if i == 0:
@@ -157,19 +154,23 @@ def _cmd_strands(args) -> int:
             "rows": mat.rows,
             "cols": mat.cols,
             "entries": [list(r) for r in mat.entries],
-            "row_labels": [str(m) for m in strand.basis(i - 1)],
-            "col_labels": [str(m) for m in strand.basis(i)],
+            "row_labels": [str(m) for m in bases[i - 1]],
+            "col_labels": [str(m) for m in bases[i]],
         }
     _emit({
         "instance": instance_to_json(inst),
         "multidegree": list(a.support),
-        "bases": bases,
+        "bases": {str(i): [list(m.support) for m in row] for i, row in bases.items()},
         "boundaries": boundaries,
     })
     return EXIT_OK
 
 
 def _cmd_scan(args) -> int:
+    if args.n > MAX_VARIABLES:
+        raise ValidationError(f"n = {args.n} exceeds the supported limit of {MAX_VARIABLES}")
+    if args.count < 0:
+        raise ValidationError(f"--count must be nonnegative, got {args.count}")
     params = default_params(args.n)
     report = conjecture_scan(
         params, count=args.count, seed=args.seed, max_sdepth_poset=args.max_sdepth_poset
@@ -221,9 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: argparse spends about a millisecond per build.  Parsing shares
+# no state between calls (--field appends to a fresh list on each parse).
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, InputError) as exc:

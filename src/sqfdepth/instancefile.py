@@ -17,6 +17,9 @@ from typing import Any
 from .errors import InputError, ValidationError
 from .monomials import Monomial, QuotientInstance, validate_pair
 
+# Every computation walks the 2^n supports of the ambient ring.
+MAX_VARIABLES = 20
+
 
 def _parse_generators(n: int, raw: Any, key: str) -> list[Monomial]:
     if not isinstance(raw, list):
@@ -39,6 +42,8 @@ def parse_instance(text: str) -> QuotientInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError("instance file must be a JSON object")
     for key in ("n", "I", "J"):
@@ -47,8 +52,8 @@ def parse_instance(text: str) -> QuotientInstance:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError("n must be a positive integer", location="n")
-    if n > 20:
-        raise ValidationError(f"n = {n} exceeds the supported limit of 20", location="n")
+    if n > MAX_VARIABLES:
+        raise ValidationError(f"n = {n} exceeds the supported limit of {MAX_VARIABLES}", location="n")
     gens_i = _parse_generators(n, doc["I"], "I")
     gens_j = _parse_generators(n, doc["J"], "J")
     return validate_pair(n, gens_i, gens_j)

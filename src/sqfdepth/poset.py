@@ -12,28 +12,29 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .monomials import Monomial, QuotientInstance
+from .monomials import QuotientInstance
 
 
 @dataclass(frozen=True)
 class PosetLayers:
     """Per-degree layers of the quotient poset, for degrees d..n.
 
-    Within a layer, monomials are in canonical order (lexicographic on
-    support, degree being fixed).  Layers past the last nonempty one are
+    Elements are support bitmasks (bit j-1 set iff x_j divides the
+    monomial).  Within a layer they are in canonical order (lexicographic
+    on support, degree being fixed).  Layers past the last nonempty one are
     present and empty.
     """
 
     instance: QuotientInstance
-    layers: tuple[tuple[Monomial, ...], ...]
+    layers: tuple[tuple[int, ...], ...]
 
-    def layer(self, t: int) -> tuple[Monomial, ...]:
+    def layer(self, t: int) -> tuple[int, ...]:
         d = self.instance.d
         if t < d or t > self.instance.n:
             return ()
         return self.layers[t - d]
 
-    def elements(self) -> tuple[Monomial, ...]:
+    def elements(self) -> tuple[int, ...]:
         """All poset elements in canonical order (degree ascending, then support)."""
         return tuple(m for row in self.layers for m in row)
 
@@ -41,29 +42,19 @@ class PosetLayers:
         """Number of degree-t elements; zero outside the range [d, n]."""
         return len(self.layer(t))
 
-    def alpha_table(self) -> RhoTable:
-        """rho and alpha for all degrees d..n."""
-        n, d = self.instance.n, self.instance.d
-        rho_pairs = tuple((j, self.rho(j)) for j in range(d, n + 1))
-        counts = dict(rho_pairs)
-        alpha_pairs = []
-        for j in range(d, n + 1):
-            a = sum((-1) ** (j - d + i) * counts[d + i] for i in range(j - d + 1))
-            alpha_pairs.append((j, a))
-        return RhoTable(d=d, rho=rho_pairs, alpha=tuple(alpha_pairs))
+    def rho_table(self) -> dict[int, int]:
+        """rho[t] for all degrees d..n."""
+        return {t: len(row) for t, row in enumerate(self.layers, start=self.instance.d)}
 
+    def alpha_table(self) -> dict[int, int]:
+        """alpha[j] for all degrees d..n: the alternating sum of rho[d..j].
 
-@dataclass(frozen=True)
-class RhoTable:
-    """Layer sizes rho[t] and their alternating sums alpha[j].
-
-    alpha[d] = rho[d] and alpha[j] = rho[j] - alpha[j-1] for j > d; the
-    closed form is the alternating sum of rho[d..j].
-    """
-
-    d: int
-    rho: tuple[tuple[int, int], ...]
-    alpha: tuple[tuple[int, int], ...]
+        Equivalently alpha[d] = rho[d] and alpha[j] = rho[j] - alpha[j-1]
+        for j > d.
+        """
+        d = self.instance.d
+        rho = self.rho_table()
+        return {j: sum((-1) ** (j - t) * rho[t] for t in range(d, j + 1)) for j in rho}
 
 
 def enumerate_quotient(inst: QuotientInstance) -> PosetLayers:
@@ -72,7 +63,7 @@ def enumerate_quotient(inst: QuotientInstance) -> PosetLayers:
     Walks all supports of each size in lexicographic order as bitmasks and
     keeps those that some generator of I divides (g & ~mask == 0) and no
     generator of J does; at desk scale this is at most 2^n subsets and needs
-    no duplicate handling.  Only the kept supports become monomials.
+    no duplicate handling.
     """
     n, d = inst.n, inst.d
     gens_i = [g.mask for g in inst.ideal_i.generators]
@@ -84,6 +75,6 @@ def enumerate_quotient(inst: QuotientInstance) -> PosetLayers:
         for combo in itertools.combinations(bits, t):
             mask = sum(combo)
             if any(g & ~mask == 0 for g in gens_i) and not any(g & ~mask == 0 for g in gens_j):
-                row.append(Monomial(n, mask))
+                row.append(mask)
         rows.append(tuple(row))
     return PosetLayers(inst, tuple(rows))

@@ -103,7 +103,7 @@ def verify_partition(inst: QuotientInstance, partition: IntervalPartition) -> Pa
     enumeration the search was given.
     """
     elements = enumerate_quotient(inst).elements()
-    poset_masks = {m.mask for m in elements}
+    poset_masks = set(elements)
     covered: set[int] = set()
     min_top = None
     for iv in partition.intervals:
@@ -134,8 +134,8 @@ def verify_partition(inst: QuotientInstance, partition: IntervalPartition) -> Pa
         top_deg = iv.top.degree
         min_top = top_deg if min_top is None else min(min_top, top_deg)
     if len(covered) != len(elements):
-        missing = next(m for m in elements if m.mask not in covered)
-        return PartitionCheck(False, f"element {missing} is not covered")
+        missing = next(m for m in elements if m not in covered)
+        return PartitionCheck(False, f"element {Monomial(inst.n, missing)} is not covered")
     if min_top != partition.sdepth_value:
         return PartitionCheck(
             False,
@@ -156,7 +156,7 @@ def _quotas_feasible(poset: PosetLayers, k: int) -> bool:
     return True
 
 
-def _search(masks: list[int], index: dict[int, int], size: int, candidates: list[list[int]]):
+def _search(masks: tuple[int, ...], index: dict[int, int], size: int, candidates: list[list[int]]):
     """Exact cover of positions 0..size-1 by intervals [u, v], v from ``candidates[u]``.
 
     Returns the (bottom, top) positions of the cover in placement order, or
@@ -216,8 +216,7 @@ def partition_exists(poset: PosetLayers, k: int) -> IntervalPartition | None:
         raise InputError(f"target {k} is below the minimal poset degree {inst.d}")
     if not _quotas_feasible(poset, k):
         return None
-    elements = poset.elements()
-    masks = [m.mask for m in elements]
+    masks = poset.elements()
     index = {mask: i for i, mask in enumerate(masks)}
     size = sum(poset.rho(t) for t in range(inst.d, k + 1))
     candidates: list[list[int]] = [[] for _ in range(size)]
@@ -233,8 +232,9 @@ def partition_exists(poset: PosetLayers, k: int) -> IntervalPartition | None:
     picks = _search(masks, index, size, candidates)
     if picks is None:
         return None
-    intervals = tuple(Interval(elements[u], elements[v]) for u, v in picks)
-    intervals += tuple(Interval(m, m) for m in elements[size:])
+    n = inst.n
+    intervals = tuple(Interval(Monomial(n, masks[u]), Monomial(n, masks[v])) for u, v in picks)
+    intervals += tuple(Interval(w, w) for w in (Monomial(n, m) for m in masks[size:]))
     return IntervalPartition(intervals=intervals, sdepth_value=k)
 
 

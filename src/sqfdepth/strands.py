@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .errors import InputError, InternalConsistencyError
 from .linalg import GF2, FieldSpec, SignMatrix, rank_bareiss, rank_gf2, rank_mod_p
-from .monomials import Monomial
 from .poset import PosetLayers
 
 
@@ -37,6 +36,7 @@ RankCache = dict[tuple[int, int, FieldSpec], int]
 class StrandComplex:
     """The slice of the Koszul complex at one square-free multidegree.
 
+    The multidegree and the basis elements are support bitmasks.
     ``bases[i]`` lists the chain-degree-i basis monomials (the monomials of
     the quotient poset of degree deg(a) - i dividing a) in canonical order.
     ``matrices[i]`` holds the differential from chain degree i to i - 1 as
@@ -44,11 +44,11 @@ class StrandComplex:
     ``boundary(i)`` degrade to empty shapes outside the populated range.
     """
 
-    multidegree: Monomial
-    bases: tuple[tuple[Monomial, ...], ...]
+    multidegree: int
+    bases: tuple[tuple[int, ...], ...]
     matrices: tuple[Rows, ...]
 
-    def basis(self, i: int) -> tuple[Monomial, ...]:
+    def basis(self, i: int) -> tuple[int, ...]:
         if 0 <= i < len(self.bases):
             return self.bases[i]
         return ()
@@ -71,34 +71,34 @@ class StrandComplex:
         return SignMatrix(rows=len(self.basis(i - 1)), cols=len(self.basis(i)), entries=self.entries(i))
 
 
-def _boundary_rows(a: Monomial, source: tuple[Monomial, ...], target: tuple[Monomial, ...]) -> Rows:
-    target_index = {m.mask: k for k, m in enumerate(target)}
+def _boundary_rows(a: int, source: tuple[int, ...], target: tuple[int, ...]) -> Rows:
+    target_index = {m: k for k, m in enumerate(target)}
     rows = [[0] * len(source) for _ in target]
     for q, f in enumerate(source):
-        comp = a.mask & ~f.mask
+        comp = a & ~f
         below = 0
         rem = comp
         while rem:
             bit = rem & -rem
             rem ^= bit
-            k = target_index.get(f.mask | bit)
+            k = target_index.get(f | bit)
             if k is not None:
                 rows[k][q] = 1 if below % 2 == 0 else -1
             below += 1
     return tuple(map(tuple, rows))
 
 
-def build_strand(poset: PosetLayers, a: Monomial) -> StrandComplex:
-    """Assemble the strand at multidegree a: bases and boundary matrices.
+def build_strand(poset: PosetLayers, a: int) -> StrandComplex:
+    """Assemble the strand at the multidegree with support mask a.
 
     The chain-degree-i basis consists exactly of the quotient-poset monomials
     of degree deg(a) - i dividing a.  An empty strand (all bases empty) is a
     valid result.  Matrices are bare int rows; labels are made by callers
     that print them, from the bases.
     """
-    size = a.degree
+    size = a.bit_count()
     bases = tuple(
-        tuple(m for m in poset.layer(size - i) if m.mask & ~a.mask == 0)
+        tuple(m for m in poset.layer(size - i) if m & ~a == 0)
         for i in range(size + 1)
     )
     matrices = ((),) + tuple(_boundary_rows(a, bases[i], bases[i - 1]) for i in range(1, size + 1))
@@ -115,7 +115,7 @@ def strand_rank(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCach
     rank over Q as well, and Bareiss runs only on the maps where it falls
     short.
     """
-    key = (strand.multidegree.mask, i, field)
+    key = (strand.multidegree, i, field)
     r = ranks.get(key)
     if r is not None:
         return r
@@ -139,7 +139,7 @@ def _homology_dim(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCa
     dim = len(strand.basis(i)) - strand_rank(strand, i, field, ranks) - strand_rank(strand, i + 1, field, ranks)
     if dim < 0:
         raise InternalConsistencyError(
-            f"negative homology dimension {dim} at {strand.multidegree}, chain degree {i}"
+            f"negative homology dimension {dim} at mask {strand.multidegree:#b}, chain degree {i}"
         )
     return dim
 
@@ -156,7 +156,7 @@ def exact_depth_multi(
     deg(a) - d, which prunes the scan: once every field's running maximum
     reaches that bound, the remaining (smaller) multidegrees cannot raise it.
     Only multidegrees in I carry a strand, and membership is read off the
-    generator masks; a monomial and a strand are built for those alone.
+    generator masks; a strand is built for those alone.
 
     Within a strand only the chain degrees above the field's running maximum
     can matter; they are visited from the top down and the first one with
@@ -190,7 +190,7 @@ def exact_depth_multi(
         for mask in by_size.get(size, ()):
             if not any(g & ~mask == 0 for g in gens_i):
                 continue
-            strand = build_strand(poset, Monomial(n, mask))
+            strand = build_strand(poset, mask)
             if strand.is_empty:
                 continue
             for f in field_list:

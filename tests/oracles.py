@@ -7,9 +7,11 @@ oracle enumerates every interval partition outright.  The unscreened depth
 scan is the reference route for the package's screened scan, the
 untruncated exact-cover search the reference route for its Stanley search,
 and Gaussian elimination on Fractions the reference route for Bareiss.
-The small helpers at the top (per-instance rho/alpha/elements, interval
-members, single-field depth, rank of a checked matrix, boundary signs)
-are conveniences that only the tests use; each enumerates its own poset.
+The small helpers at the top (per-instance rho/alpha/elements, supports of
+masks, interval members, single-field depth, rank of a checked matrix,
+boundary signs) are conveniences that only the tests use; each enumerates
+its own poset.  The package's core works on support bitmasks; these
+helpers turn them into monomials where a test compares monomials.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from sqfdepth import (
     IntervalPartition,
     Monomial,
     QuotientInstance,
-    RhoTable,
     SignMatrix,
     StrandComplex,
     ValidationError,
@@ -50,17 +51,18 @@ def rho(inst: QuotientInstance, t: int) -> int:
     return enumerate_quotient(inst).rho(t)
 
 
-def alpha_table(inst: QuotientInstance) -> RhoTable:
-    """rho and alpha for all degrees d..n."""
+def alpha_table(inst: QuotientInstance) -> dict[int, int]:
+    """alpha for all degrees d..n."""
     return enumerate_quotient(inst).alpha_table()
 
 
-def alpha_at(table: RhoTable, j: int) -> int:
-    return dict(table.alpha)[j]
+def supports(n: int, masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """The 1-based supports of the given support masks, in order."""
+    return [Monomial(n, m).support for m in masks]
 
 
 def poset_elements(inst: QuotientInstance) -> tuple[Monomial, ...]:
-    return enumerate_quotient(inst).elements()
+    return tuple(Monomial(inst.n, m) for m in enumerate_quotient(inst).elements())
 
 
 def interval_members(interval: Interval, inst: QuotientInstance) -> tuple[Monomial, ...]:
@@ -194,10 +196,9 @@ def all_strands(inst: QuotientInstance) -> Iterator[StrandComplex]:
     """All nonempty strands, by multidegree mask ascending.  Deterministic."""
     poset = enumerate_quotient(inst)
     for mask in range(1 << inst.n):
-        a = Monomial(inst.n, mask)
-        if not ideal_contains(inst.ideal_i, a):
+        if not ideal_contains(inst.ideal_i, Monomial(inst.n, mask)):
             continue
-        strand = build_strand(poset, a)
+        strand = build_strand(poset, mask)
         if not strand.is_empty:
             yield strand
 
@@ -218,7 +219,7 @@ def _strand_homology(strand: StrandComplex, field: FieldSpec) -> dict[int, int]:
 
 def strand_homology(inst: QuotientInstance, a: Monomial, field: FieldSpec = RATIONALS) -> dict[int, int]:
     """Homology dimension per chain degree with nonempty basis: r - rank(in) - rank(out)."""
-    return _strand_homology(build_strand(enumerate_quotient(inst), a), field)
+    return _strand_homology(build_strand(enumerate_quotient(inst), a.mask), field)
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,7 @@ def homology_profile(inst: QuotientInstance, field: FieldSpec = RATIONALS) -> Ho
     for strand in all_strands(inst):
         for i, dim in sorted(_strand_homology(strand, field).items()):
             if dim:
-                entries.append((strand.multidegree, i, dim))
+                entries.append((Monomial(inst.n, strand.multidegree), i, dim))
                 max_nonzero = max(max_nonzero, i)
     if max_nonzero < 0:
         raise InternalConsistencyError("no nonzero strand homology found; quotient should be nonzero")

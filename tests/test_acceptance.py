@@ -42,6 +42,7 @@ from oracles import (
     poset_elements,
     rank_fraction_gauss,
     rho,
+    supports,
 )
 
 PAPER = '{"n":4,"I":[[1],[3]],"J":[[1,4]]}'
@@ -158,8 +159,8 @@ def test_criterion_01_paper_example_golden():
     elapsed = time.monotonic() - t0
 
     layers = enumerate_quotient(inst)
-    assert [m.support for m in layers.layer(2)] == [(1, 2), (1, 3), (2, 3), (3, 4)]
-    assert [m.support for m in layers.layer(3)] == [(1, 2, 3), (2, 3, 4)]
+    assert supports(4, layers.layer(2)) == [(1, 2), (1, 3), (2, 3), (3, 4)]
+    assert supports(4, layers.layer(3)) == [(1, 2, 3), (2, 3, 4)]
     assert report.rho[2] == 4 and report.rho[3] == 2
     assert report.depth == {"q": 3, "gf:2": 3}
     fired_drops = [c for c in report.certificates if c.kind == ALTERNATING_DROP and c.fired]

@@ -15,6 +15,7 @@ import sqfdepth
 import sqfdepth.poset as poset_module
 from sqfdepth import (
     GF2,
+    GF3,
     RATIONALS,
     Monomial,
     ValidationError,
@@ -296,7 +297,7 @@ def test_core_functions_given_a_poset_do_not_enumerate(monkeypatch):
         inst = poset.instance
         ranks = {}
         depths = exact_depth_multi(poset, (RATIONALS, GF2), ranks)
-        build_strand(poset, Monomial(inst.n, (1 << inst.n) - 1))
+        build_strand(poset, (1 << inst.n) - 1)
         check_base_drop(poset)
         check_alternating_drop(poset)
         check_principal_gap(poset)
@@ -307,6 +308,69 @@ def test_core_functions_given_a_poset_do_not_enumerate(monkeypatch):
         partition_exists(poset, inst.d)
         stanley_depth(poset)
     assert calls == []
+
+
+# k = 3 passes the counting quotas here and is rejected by the search itself.
+SEARCH_REJECTS_3 = '{"n":4,"I":[[1],[2],[4]],"J":[[1,2,3]]}'
+
+
+def test_core_functions_given_a_poset_build_no_monomials(monkeypatch):
+    instances = [parse_instance(t) for t in (PAPER, PAPER_JPRIME, _band_text(6, 2, 5), SEARCH_REJECTS_3)]
+    built: list[int] = []
+    post_init = Monomial.__post_init__
+
+    def spy(self):
+        built.append(self.mask)
+        post_init(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", spy)
+    for inst in instances:
+        poset = enumerate_quotient(inst)
+        ranks = {}
+        depths = exact_depth_multi(poset, (RATIONALS, GF2, GF3), ranks)
+        build_strand(poset, (1 << inst.n) - 1)
+        counting_certificates(poset)
+        for field, depth in depths.items():
+            check_rank_split(poset, field, depth, ranks)
+            check_rank_split(poset, field, depth)
+    assert partition_exists(enumerate_quotient(instances[-1]), 3) is None
+    assert built == []
+
+
+def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys):
+    runs = [("gf:2", "gf:3"), ("q",), (), ("gf:3",)]
+    depths = []
+    for fields in runs:
+        argv = ["depth"] + [arg for f in fields for arg in ("--field", f)]
+        code, out, _ = run_cli(tmp_path, capsys, *argv, instance_text=PAPER)
+        assert code == 0
+        depths.append(json.loads(out)["depth"])
+    assert depths == [{"gf:2": 3, "gf:3": 3}, {"q": 3}, {"q": 3}, {"gf:3": 3}]
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["analyze"], b'{"n": 1, "I": [[1]], "J": []}\xff'),
+        (["depth"], b"[" * 200000),
+        (["scan", "--n", "4", "--count", "-2"], None),
+        (["scan", "--n", "21", "--count", "1"], None),
+    ],
+    ids=["not-utf8", "nested-too-deeply", "negative-count", "n-past-limit"],
+)
+def test_cli_rejects_outside_input_with_exit_2(tmp_path, capsys, argv, content):
+    args = list(argv)
+    if content is not None:
+        path = tmp_path / "instance.json"
+        path.write_bytes(content)
+        args.append(str(path))
+    start = time.perf_counter()
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert time.perf_counter() - start < 5
 
 
 def test_cli_rejects_a_field_size_past_the_limit_at_once(tmp_path, capsys):
