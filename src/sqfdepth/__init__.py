@@ -21,9 +21,9 @@ from .certificates import (
 )
 from .errors import InputError, InternalConsistencyError, TheoremViolationError, ValidationError
 from .generate import GeneratorParams, default_params, random_instance
-from .instancefile import instance_to_json, parse_instance, serialize_instance
-from .linalg import GF2, GF3, RATIONALS, FieldSpec, SignMatrix
-from .monomials import Monomial, MonomialIdeal, QuotientInstance, divides, ideal_contains, minimalize, validate_pair
+from .instancefile import instance_to_json, parse_instance
+from .linalg import GF2, RATIONALS, FieldSpec
+from .monomials import Monomial, MonomialIdeal, QuotientInstance, ideal_contains, minimalize, validate_pair
 from .poset import PosetLayers, enumerate_quotient
 from .scan import ScanReport, conjecture_scan
 from .stanley import Interval, IntervalPartition, partition_exists, stanley_depth, verify_partition
@@ -43,7 +43,6 @@ __all__ = [
     "Conclusion",
     "FieldSpec",
     "GF2",
-    "GF3",
     "GeneratorParams",
     "InputError",
     "InternalConsistencyError",
@@ -55,7 +54,6 @@ __all__ = [
     "QuotientInstance",
     "RATIONALS",
     "ScanReport",
-    "SignMatrix",
     "StrandComplex",
     "TheoremViolationError",
     "ValidationError",
@@ -70,7 +68,6 @@ __all__ = [
     "conjecture_scan",
     "counting_certificates",
     "default_params",
-    "divides",
     "enumerate_quotient",
     "exact_depth_multi",
     "ideal_contains",
@@ -79,7 +76,6 @@ __all__ = [
     "parse_instance",
     "partition_exists",
     "random_instance",
-    "serialize_instance",
     "stanley_depth",
     "validate_pair",
     "verify_partition",

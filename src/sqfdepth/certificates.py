@@ -28,7 +28,7 @@ from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import QuotientInstance
 from .poset import PosetLayers, enumerate_quotient
 from .stanley import IntervalPartition, stanley_depth
-from .strands import RankCache, StrandComplex, build_strand, exact_depth_multi, strand_rank
+from .strands import RankCache, build_strand, exact_depth_multi, strand_rank
 
 LOWER_BOUND = "lower_bound"
 BASE_DROP = "base_drop"
@@ -202,7 +202,6 @@ def check_rank_split(
     field: FieldSpec,
     depth: int,
     ranks: RankCache | None = None,
-    full: StrandComplex | None = None,
 ) -> list[Certificate]:
     """Rank decomposition of each full-strand layer, one certificate per offset i.
 
@@ -212,15 +211,15 @@ def check_rank_split(
     the sum of those two ranks (exactness); a strict surplus instead
     certifies depth <= d+i.
 
-    Ranks come from :func:`strand_rank`; pass the ``ranks`` dict that
-    :func:`exact_depth_multi` filled to reuse what the depth scan already
-    computed on the full strand.  ``full`` is the strand at the full
-    multidegree, built here when omitted; its chain-degree-(n-d-i) basis is
-    the degree-(d+i) layer, so r is read off it.
+    The full strand is built here, bases only; its chain-degree-(n-d-i)
+    basis is the degree-(d+i) layer, so r is read off it.  Ranks come from
+    :func:`strand_rank`; pass the ``ranks`` dict that
+    :func:`exact_depth_multi` filled to reuse every rank the depth scan
+    already computed on the full strand, so that only the missing ones
+    build their rows.
     """
     n, d = poset.instance.n, poset.instance.d
-    if full is None:
-        full = build_strand(poset, (1 << n) - 1)
+    full = build_strand(poset, (1 << n) - 1)
     if ranks is None:
         ranks = {}
     out = []
@@ -319,25 +318,23 @@ def analyze(
     """Run the whole pipeline on one instance and cross-check every conclusion.
 
     Enumerates the quotient poset once and hands it to every stage, along
-    with one rank cache and one full strand, evaluates all certificates,
-    computes the exact depth per requested field and (poset size
-    permitting) the Stanley depth with witness, then verifies every fired
-    conclusion against the exact depths.  Cross-check failures are
-    collected, never silently dropped; ``consistent`` is False when any
-    were found.
+    with one rank cache, evaluates all certificates, computes the exact
+    depth per requested field and (poset size permitting) the Stanley depth
+    with witness, then verifies every fired conclusion against the exact
+    depths.  The fields are deduplicated, and an empty list rejected, by
+    :func:`exact_depth_multi`; the per-field checks run over the fields of
+    its result.  Cross-check failures are collected, never silently
+    dropped; ``consistent`` is False when any were found.
     """
-    field_list = tuple(dict.fromkeys(fields)) or (RATIONALS,)
     poset = enumerate_quotient(inst)
     ranks: RankCache = {}
-    depths_by_field = exact_depth_multi(poset, field_list, ranks)
+    depths_by_field = exact_depth_multi(poset, fields, ranks)
     depths = {f.label: v for f, v in depths_by_field.items()}
 
     inconsistencies: list[str] = []
     certificates = counting_certificates(poset)
     findings = [c.warning for c in certificates if c.warning]
-    full = build_strand(poset, (1 << inst.n) - 1)
-    for f in field_list:
-        depth_f = depths_by_field[f]
+    for f, depth_f in depths_by_field.items():
         try:
             sandwich = check_layer_sandwich(poset, depth_f)
             sandwich.field = f
@@ -345,7 +342,7 @@ def analyze(
         except TheoremViolationError as exc:
             inconsistencies.append(f"{f.label}: {exc}")
         try:
-            certificates.extend(check_rank_split(poset, f, depth_f, ranks, full))
+            certificates.extend(check_rank_split(poset, f, depth_f, ranks))
         except TheoremViolationError as exc:
             inconsistencies.append(f"{f.label}: {exc}")
 

@@ -32,7 +32,7 @@ EXIT_INCONSISTENT = 3
 def _field_args(values: list[str] | None, default: tuple[FieldSpec, ...]) -> tuple[FieldSpec, ...]:
     if not values:
         return default
-    return tuple(dict.fromkeys(FieldSpec.parse(v) for v in values))
+    return tuple(FieldSpec.parse(v) for v in values)
 
 
 def _read_instance(path: str) -> QuotientInstance:
@@ -149,11 +149,10 @@ def _cmd_strands(args) -> int:
     for i in strand.chain_degrees():
         if i == 0:
             continue
-        mat = strand.boundary(i)
         boundaries[str(i)] = {
-            "rows": mat.rows,
-            "cols": mat.cols,
-            "entries": [list(r) for r in mat.entries],
+            "rows": len(bases[i - 1]),
+            "cols": len(bases[i]),
+            "entries": [list(r) for r in strand.entries(i)],
             "row_labels": [str(m) for m in bases[i - 1]],
             "col_labels": [str(m) for m in bases[i]],
         }

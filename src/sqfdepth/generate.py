@@ -46,7 +46,7 @@ def default_params(n: int) -> GeneratorParams:
         gen_count_i=(1, min(4, n)),
         gen_count_j=(0, 4),
         degree_i=(1, max(1, n - 1)),
-        degree_j=(2, n),
+        degree_j=(2, max(2, n)),
     )
 
 

@@ -5,8 +5,8 @@ A single document with 1-based variable indices:
     {"n": 4, "I": [[1], [3]], "J": [[1, 4]]}
 
 ``J`` may be empty.  Canonical output sorts each support ascending and the
-generator lists in canonical (degree, support) order, so parse(serialize(x))
-round-trips losslessly.
+generator lists in canonical (degree, support) order, so parsing the dumped
+:func:`instance_to_json` round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -66,7 +66,3 @@ def instance_to_json(inst: QuotientInstance) -> dict:
         "I": [list(g.support) for g in inst.ideal_i.generators],
         "J": [list(g.support) for g in inst.ideal_j.generators],
     }
-
-
-def serialize_instance(inst: QuotientInstance) -> str:
-    return json.dumps(instance_to_json(inst), sort_keys=True)

@@ -75,26 +75,6 @@ class FieldSpec:
 
 RATIONALS = FieldSpec()
 GF2 = FieldSpec(2)
-GF3 = FieldSpec(3)
-
-
-@dataclass(frozen=True)
-class SignMatrix:
-    """A dense integer matrix with entries in {-1, 0, +1}, checked on construction."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise InputError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise InputError("ragged row")
-            for e in r:
-                if e not in (-1, 0, 1):
-                    raise InputError(f"entry {e} outside {{-1, 0, +1}}")
 
 
 def rank_bareiss(entries: Sequence[Sequence[int]]) -> int:

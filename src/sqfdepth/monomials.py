@@ -55,11 +55,6 @@ class Monomial:
     def degree(self) -> int:
         return self.mask.bit_count()
 
-    def divides(self, other: Monomial) -> bool:
-        if self.n != other.n:
-            raise InputError(f"ambient mismatch: n={self.n} vs n={other.n}")
-        return self.mask & ~other.mask == 0
-
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (self.degree, self.support)
 
@@ -67,11 +62,6 @@ class Monomial:
         if not self.mask:
             return "1"
         return "*".join(f"x{j}" for j in self.support)
-
-
-def divides(a: Monomial, b: Monomial) -> bool:
-    """True iff support(a) is contained in support(b); a partial order."""
-    return a.divides(b)
 
 
 @dataclass(frozen=True)
@@ -85,10 +75,6 @@ class MonomialIdeal:
 
     n: int
     generators: tuple[Monomial, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
 
 
 def minimalize(n: int, gens: Iterable[Monomial]) -> MonomialIdeal:

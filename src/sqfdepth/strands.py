@@ -18,11 +18,11 @@ the test suite validates that assumption empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .errors import InputError, InternalConsistencyError
-from .linalg import GF2, FieldSpec, SignMatrix, rank_bareiss, rank_gf2, rank_mod_p
+from .linalg import GF2, FieldSpec, rank_bareiss, rank_gf2, rank_mod_p
 from .poset import PosetLayers
 
 
@@ -39,14 +39,14 @@ class StrandComplex:
     The multidegree and the basis elements are support bitmasks.
     ``bases[i]`` lists the chain-degree-i basis monomials (the monomials of
     the quotient poset of degree deg(a) - i dividing a) in canonical order.
-    ``matrices[i]`` holds the differential from chain degree i to i - 1 as
-    bare rows of ints, one tuple per target basis element; ``entries(i)`` and
-    ``boundary(i)`` degrade to empty shapes outside the populated range.
+    The differentials are not stored up front: ``entries(i)`` builds the
+    one leaving chain degree i the first time it is asked for and keeps it
+    on this strand.  Outside the populated range it degrades to empty shapes.
     """
 
     multidegree: int
     bases: tuple[tuple[int, ...], ...]
-    matrices: tuple[Rows, ...]
+    _rows: dict[int, Rows] = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def basis(self, i: int) -> tuple[int, ...]:
         if 0 <= i < len(self.bases):
@@ -61,14 +61,11 @@ class StrandComplex:
         return range(len(self.bases))
 
     def entries(self, i: int) -> Rows:
-        """Rows of the differential leaving chain degree i (unchecked, hot path)."""
-        if 1 <= i < len(self.matrices):
-            return self.matrices[i]
-        return tuple(() for _ in self.basis(i - 1))
-
-    def boundary(self, i: int) -> SignMatrix:
-        """The differential leaving chain degree i as a checked SignMatrix."""
-        return SignMatrix(rows=len(self.basis(i - 1)), cols=len(self.basis(i)), entries=self.entries(i))
+        """Rows of the differential leaving chain degree i (unchecked), one per target basis element."""
+        rows = self._rows.get(i)
+        if rows is None:
+            rows = self._rows[i] = _boundary_rows(self.multidegree, self.basis(i), self.basis(i - 1))
+        return rows
 
 
 def _boundary_rows(a: int, source: tuple[int, ...], target: tuple[int, ...]) -> Rows:
@@ -93,16 +90,15 @@ def build_strand(poset: PosetLayers, a: int) -> StrandComplex:
 
     The chain-degree-i basis consists exactly of the quotient-poset monomials
     of degree deg(a) - i dividing a.  An empty strand (all bases empty) is a
-    valid result.  Matrices are bare int rows; labels are made by callers
-    that print them, from the bases.
+    valid result.  Only the bases are built here; see
+    :meth:`StrandComplex.entries` for the differentials.
     """
     size = a.bit_count()
     bases = tuple(
         tuple(m for m in poset.layer(size - i) if m & ~a == 0)
         for i in range(size + 1)
     )
-    matrices = ((),) + tuple(_boundary_rows(a, bases[i], bases[i - 1]) for i in range(1, size + 1))
-    return StrandComplex(multidegree=a, bases=bases, matrices=matrices)
+    return StrandComplex(multidegree=a, bases=bases)
 
 
 def strand_rank(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCache) -> int:
@@ -113,24 +109,24 @@ def strand_rank(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCach
     cannot create a nonzero minor, so rank over GF(p) <= rank over Q <=
     min(rows, cols); a GF(2) rank equal to min(rows, cols) is therefore the
     rank over Q as well, and Bareiss runs only on the maps where it falls
-    short.
+    short.  A map with an empty source or target has rank 0 and its rows
+    are never built.
     """
     key = (strand.multidegree, i, field)
     r = ranks.get(key)
     if r is not None:
         return r
-    rows = strand.entries(i)
-    short = min(len(rows), len(strand.basis(i)))
+    short = min(len(strand.basis(i - 1)), len(strand.basis(i)))
     if short == 0:
         r = 0
     elif field.p == 2:
-        r = rank_gf2(rows)
+        r = rank_gf2(strand.entries(i))
     elif field.p is not None:
-        r = rank_mod_p(rows, field.p)
+        r = rank_mod_p(strand.entries(i), field.p)
     else:
         r = strand_rank(strand, i, GF2, ranks)
         if r < short:
-            r = rank_bareiss(rows)
+            r = rank_bareiss(strand.entries(i))
     ranks[key] = r
     return r
 

@@ -8,14 +8,17 @@ scan is the reference route for the package's screened scan, the
 untruncated exact-cover search the reference route for its Stanley search,
 and Gaussian elimination on Fractions the reference route for Bareiss.
 The small helpers at the top (per-instance rho/alpha/elements, supports of
-masks, interval members, single-field depth, rank of a checked matrix,
-boundary signs) are conveniences that only the tests use; each enumerates
-its own poset.  The package's core works on support bitmasks; these
-helpers turn them into monomials where a test compares monomials.
+masks, interval members, single-field depth, divisibility of monomials, the
+instance dump, the field GF(3), the checked SignMatrix with its ranks and
+products, a strand's boundary as a SignMatrix, boundary signs) are
+conveniences that only the tests use; each enumerates its own poset.  The
+package's core works on support bitmasks; these helpers turn them into
+monomials where a test compares monomials.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,17 +36,20 @@ from sqfdepth import (
     IntervalPartition,
     Monomial,
     QuotientInstance,
-    SignMatrix,
     StrandComplex,
     ValidationError,
     build_strand,
     enumerate_quotient,
     exact_depth_multi,
     ideal_contains,
+    instance_to_json,
     validate_pair,
 )
 from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
 from sqfdepth.strands import strand_rank
+
+
+GF3 = FieldSpec(3)
 
 
 def rho(inst: QuotientInstance, t: int) -> int:
@@ -77,6 +83,41 @@ def interval_members(interval: Interval, inst: QuotientInstance) -> tuple[Monomi
 def exact_depth(inst: QuotientInstance, field: FieldSpec = RATIONALS) -> int:
     """Exact depth of the quotient over one field, from its own enumeration."""
     return exact_depth_multi(enumerate_quotient(inst), (field,))[field]
+
+
+def divides(a: Monomial, b: Monomial) -> bool:
+    """True iff support(a) is contained in support(b); a partial order."""
+    if a.n != b.n:
+        raise InputError(f"ambient mismatch: n={a.n} vs n={b.n}")
+    return a.mask & ~b.mask == 0
+
+
+def serialize_instance(inst: QuotientInstance) -> str:
+    return json.dumps(instance_to_json(inst), sort_keys=True)
+
+
+@dataclass(frozen=True)
+class SignMatrix:
+    """A dense integer matrix with entries in {-1, 0, +1}, checked on construction."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows:
+            raise InputError(f"expected {self.rows} rows, got {len(self.entries)}")
+        for r in self.entries:
+            if len(r) != self.cols:
+                raise InputError("ragged row")
+            for e in r:
+                if e not in (-1, 0, 1):
+                    raise InputError(f"entry {e} outside {{-1, 0, +1}}")
+
+
+def boundary(strand: StrandComplex, i: int) -> SignMatrix:
+    """The differential leaving chain degree i of the strand as a checked SignMatrix."""
+    return SignMatrix(rows=len(strand.basis(i - 1)), cols=len(strand.basis(i)), entries=strand.entries(i))
 
 
 def from_rows(entries: Sequence[Sequence[int]], cols: int | None = None) -> SignMatrix:
@@ -322,7 +363,7 @@ def unscreened_depth_multi(inst: QuotientInstance, fields) -> dict[FieldSpec, in
         for f in fields:
             ranks = [0] * (top + 2)
             for i in range(1, top + 1):
-                m = strand.boundary(i)
+                m = boundary(strand, i)
                 if m.rows and m.cols:
                     ranks[i] = _raw_rank(m.entries, f)
             for i in range(top + 1):

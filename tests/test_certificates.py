@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from sqfdepth import (
     ALTERNATING_DROP,
     GF2,
     RATIONALS,
+    InputError,
     Monomial,
     analyze,
     check_alternating_drop,
@@ -23,7 +26,7 @@ from sqfdepth import (
 from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS
 from sqfdepth.generate import default_params
 
-from oracles import exact_depth, hypothesis_violating_instances, rho
+from oracles import exact_depth, hypothesis_violating_instances, rho, rp2_cone_instance
 
 
 def mono(n, *indices):
@@ -249,3 +252,15 @@ def test_analyze_single_prime_field():
 def test_rho_zero_outside_poset_range():
     inst = paper_instance()
     assert rho(inst, inst.n + 1) == 0
+
+
+def test_analyze_rejects_an_empty_field_list():
+    with pytest.raises(InputError):
+        analyze(paper_instance(), fields=())
+
+
+def test_analyze_ignores_repeated_fields():
+    for inst in (paper_instance(), paper_instance_jprime(), rp2_cone_instance()):
+        repeated = analyze(inst, fields=(GF2, GF2, RATIONALS))
+        once = analyze(inst, fields=(GF2, RATIONALS))
+        assert repeated == once

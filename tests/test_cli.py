@@ -15,7 +15,6 @@ import sqfdepth
 import sqfdepth.poset as poset_module
 from sqfdepth import (
     GF2,
-    GF3,
     RATIONALS,
     Monomial,
     ValidationError,
@@ -31,7 +30,6 @@ from sqfdepth import (
     parse_instance,
     partition_exists,
     random_instance,
-    serialize_instance,
     stanley_depth,
     validate_pair,
     verify_partition,
@@ -39,6 +37,8 @@ from sqfdepth import (
 from sqfdepth.cli import main
 from sqfdepth.generate import default_params
 from sqfdepth.stanley import Interval, IntervalPartition
+
+from oracles import GF3, serialize_instance
 
 PAPER = '{"n":4,"I":[[1],[3]],"J":[[1,4]]}'
 PAPER_JPRIME = '{"n":4,"I":[[1],[3]],"J":[[1,4],[2,3,4]]}'
@@ -235,6 +235,16 @@ def test_cli_single_variable_instance(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["depth"] == {"q": 1, "gf:2": 1}
     assert doc["sdepth"] == 1
+
+
+def test_cli_scan_one_variable(tmp_path, capsys):
+    code, out, _ = run_cli(tmp_path, capsys, "scan", "--n", "1", "--count", "3")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 3
+    for record in records:
+        assert record["depth"] == {"q": 1, "gf:2": 1}
+        assert record["sdepth"] == 1
 
 
 def _band_text(n, low, high):

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from sqfdepth import GF2, GF3, RATIONALS, FieldSpec, InputError, SignMatrix
+from sqfdepth import GF2, RATIONALS, FieldSpec, InputError
 from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
 
-from oracles import compose_is_zero, from_rows, rank, rank_fraction_gauss, rank_pair_check, transpose
+from oracles import GF3, SignMatrix, compose_is_zero, from_rows, rank, rank_fraction_gauss, rank_pair_check, transpose
 
 
 def test_field_spec_labels_and_parse():

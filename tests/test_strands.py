@@ -9,9 +9,9 @@ import random
 import pytest
 
 import sqfdepth
+import sqfdepth.strands as strands_module
 from sqfdepth import (
     GF2,
-    GF3,
     RATIONALS,
     analyze,
     check_rank_split,
@@ -25,10 +25,12 @@ from sqfdepth import (
     validate_pair,
 )
 from sqfdepth.generate import default_params
-from sqfdepth.linalg import rank_bareiss
+from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
 
 from oracles import (
+    GF3,
     all_strands,
+    boundary,
     boundary_sign,
     brute_multidegree_homology,
     compose_is_zero,
@@ -83,16 +85,16 @@ def test_paper_full_strand_layout():
     assert supports(4, strand.basis(2)) == [(1, 2), (1, 3), (2, 3), (3, 4)]
     assert supports(4, strand.basis(1)) == [(1, 2, 3), (2, 3, 4)]
     assert strand.basis(0) == ()
-    assert strand.boundary(3).entries == ((1, 0), (-1, 1), (0, -1), (0, 1))
-    assert strand.boundary(2).entries == ((1, 1, 1, 0), (0, 0, -1, -1))
-    assert strand.boundary(4).cols == 0
+    assert boundary(strand, 3).entries == ((1, 0), (-1, 1), (0, -1), (0, 1))
+    assert boundary(strand, 2).entries == ((1, 1, 1, 0), (0, 0, -1, -1))
+    assert boundary(strand, 4).cols == 0
 
 
 def test_strand_at_multidegree_x1x4():
     strand = build_strand(enumerate_quotient(paper_instance()), mono(4, 1, 4).mask)
     assert supports(4, strand.basis(1)) == [(1,)]
     assert strand.basis(0) == ()
-    b = strand.boundary(1)
+    b = boundary(strand, 1)
     assert (b.rows, b.cols) == (0, 1)
 
 
@@ -151,7 +153,7 @@ def test_boundary_squares_to_zero_everywhere():
     for inst in fuzz_instances():
         for strand in all_strands(inst):
             for i in strand.chain_degrees():
-                assert compose_is_zero(strand.boundary(i), strand.boundary(i + 1))
+                assert compose_is_zero(boundary(strand, i), boundary(strand, i + 1))
 
 
 def test_boundary_matrices_match_boundary_sign():
@@ -161,7 +163,7 @@ def test_boundary_matrices_match_boundary_sign():
             for i in strand.chain_degrees():
                 if i == 0:
                     continue
-                mat = strand.boundary(i)
+                mat = boundary(strand, i)
                 for k, b in enumerate(strand.basis(i - 1)):
                     for q, f in enumerate(strand.basis(i)):
                         assert mat.entries[k][q] == boundary_sign(Monomial(inst.n, f), Monomial(inst.n, b), a)
@@ -180,7 +182,7 @@ def test_ranks_invariant_under_random_resigning():
     for inst in fuzz_instances(per_n=5):
         for strand in all_strands(inst):
             for i in strand.chain_degrees():
-                m = strand.boundary(i)
+                m = boundary(strand, i)
                 if not (m.rows and m.cols):
                     continue
                 row_signs = [rng.choice((1, -1)) for _ in range(m.rows)]
@@ -229,7 +231,7 @@ def test_strand_locality_against_restricted_instance():
                 len(sub_strand.basis(i)) for i in sub_strand.chain_degrees()
             ]
             for i in strand.chain_degrees():
-                assert strand.boundary(i).entries == sub_strand.boundary(i).entries
+                assert boundary(strand, i).entries == boundary(sub_strand, i).entries
             checked += 1
     assert checked > 20
 
@@ -274,11 +276,24 @@ def test_rank_split_same_with_shared_or_fresh_cache():
             assert shared == fresh, (inst, f)
 
 
-def _spy_on_bareiss(monkeypatch) -> list[int]:
-    """Replace rank_bareiss wherever a package module holds it; return the list of call sizes.
+def _replace_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace the function ``original`` by ``replacement`` wherever a package module holds it.
 
     Replacing by identity in every module namespace catches exactly the calls
-    made through module globals.  Each call's rows must be hashable tuples.
+    made through module globals.
+    """
+    for info in pkgutil.iter_modules(sqfdepth.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"sqfdepth.{info.name}")
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
+def _spy_on_bareiss(monkeypatch) -> list[int]:
+    """Replace rank_bareiss throughout the package; return the list of call sizes.
+
+    Each call's rows must be hashable tuples.
     """
     calls: list[int] = []
 
@@ -288,12 +303,7 @@ def _spy_on_bareiss(monkeypatch) -> list[int]:
         calls.append(len(entries))
         return rank_bareiss(entries)
 
-    for info in pkgutil.iter_modules(sqfdepth.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"sqfdepth.{info.name}")
-        if getattr(module, "rank_bareiss", None) is rank_bareiss:
-            monkeypatch.setattr(module, "rank_bareiss", spy)
+    _replace_everywhere(monkeypatch, rank_bareiss, spy)
     return calls
 
 
@@ -313,3 +323,35 @@ def test_torsion_instance_reaches_bareiss(monkeypatch):
     calls = _spy_on_bareiss(monkeypatch)
     assert exact_depth(rp2_cone_instance(), RATIONALS) == 4
     assert calls
+
+
+def test_boundary_rows_are_built_once_and_only_for_a_rank(monkeypatch):
+    # Building every map of every visited strand up front made 4,160 row
+    # builds, 1,634 of them with an empty side, for 3,709 rank calls here.
+    rng = random.Random(11)
+    instances = [random_instance(default_params(n), rng) for n in (5, 6, 7, 8) for _ in range(8)]
+    builds: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    rank_calls: list[str] = []
+    build = strands_module._boundary_rows
+
+    def build_spy(a, source, target):
+        assert source and target  # a map with an empty side has rank 0 without rows
+        builds.append((source, target))
+        return build(a, source, target)
+
+    def rank_spy(fn):
+        def spy(*args):
+            rank_calls.append(fn.__name__)
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(strands_module, "_boundary_rows", build_spy)
+    for fn in (rank_bareiss, rank_gf2, rank_mod_p):
+        _replace_everywhere(monkeypatch, fn, rank_spy(fn))
+    for inst in instances:
+        assert analyze(inst, fields=(RATIONALS, GF2, GF3), sdepth_poset_cap=0).consistent
+    # Nonempty bases are fresh tuples of one strand, and ``builds`` keeps them
+    # alive, so the pair of their ids names one (strand, chain degree).
+    keys = [(id(source), id(target)) for source, target in builds]
+    assert len(set(keys)) == len(keys)
+    assert 0 < len(builds) <= len(rank_calls)
