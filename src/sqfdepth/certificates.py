@@ -216,7 +216,10 @@ def check_rank_split(
     :func:`strand_rank`; pass the ``ranks`` dict that
     :func:`exact_depth_multi` filled to reuse every rank the depth scan
     already computed on the full strand, so that only the missing ones
-    build their rows.
+    build their rows.  Over Q a rank is taken from GF(2) whenever the GF(2)
+    homology vanishes at either end of its map, so on a full strand that is
+    exact mod 2 the split costs GF(2) ranks alone; Bareiss runs only on a
+    map between two layers that both carry GF(2) homology.
     """
     n, d = poset.instance.n, poset.instance.d
     full = build_strand(poset, (1 << n) - 1)

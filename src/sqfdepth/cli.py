@@ -135,9 +135,9 @@ def _cmd_sdepth(args) -> int:
 def _cmd_strands(args) -> int:
     inst = _read_instance(args.instance)
     n = inst.n
-    if args.multidegree:
+    if args.multidegree is not None:
         try:
-            indices = [int(part) for part in args.multidegree.split(",") if part]
+            indices = [int(part) for part in args.multidegree.split(",")]
         except ValueError:
             raise ValidationError(f"bad multidegree {args.multidegree!r}; expected comma-separated indices")
         a = Monomial.from_support(n, indices)

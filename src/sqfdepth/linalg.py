@@ -52,10 +52,6 @@ class FieldSpec:
             raise InputError(f"{self.p} is not prime")
 
     @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
-    @property
     def label(self) -> str:
         return "q" if self.p is None else f"gf:{self.p}"
 

@@ -19,7 +19,7 @@ the test suite validates that assumption empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError, InternalConsistencyError
 from .linalg import GF2, FieldSpec, rank_bareiss, rank_gf2, rank_mod_p
@@ -28,8 +28,9 @@ from .poset import PosetLayers
 
 Rows = tuple[tuple[int, ...], ...]
 
-# Strand ranks of one computation, keyed by (multidegree mask, chain degree, field).
-RankCache = dict[tuple[int, int, FieldSpec], int]
+# Strand ranks of one computation, keyed by (multidegree mask, chain degree,
+# field characteristic), with None for the rationals.
+RankCache = dict[tuple[int, int, int | None], int]
 
 
 @dataclass(frozen=True)
@@ -102,17 +103,29 @@ def build_strand(poset: PosetLayers, a: int) -> StrandComplex:
 
 
 def strand_rank(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCache) -> int:
-    """Rank over ``field`` of the differential leaving chain degree i, memoized in ``ranks``.
+    """Rank over ``field`` of the differential d_i leaving chain degree i, memoized in ``ranks``.
 
-    GF(2) ranks use the bitset route and odd primes modular elimination.
-    Over Q the GF(2) rank is taken first.  Reducing an integer matrix mod p
-    cannot create a nonzero minor, so rank over GF(p) <= rank over Q <=
-    min(rows, cols); a GF(2) rank equal to min(rows, cols) is therefore the
-    rank over Q as well, and Bareiss runs only on the maps where it falls
-    short.  A map with an empty source or target has rank 0 and its rows
-    are never built.
+    GF(2) ranks use the bitset route and odd primes modular elimination.  A
+    map with an empty source or target has rank 0 and its rows are never
+    built.  Over Q the rank is certified from GF(2) ranks wherever it can be,
+    and fraction-free Bareiss runs only on the maps that are left:
+
+    * Reducing an integer matrix mod 2 creates no nonzero minor, so
+      rank_2(d) <= rank_Q(d) <= min(rows, cols) for every map d.  A GF(2)
+      rank equal to min(rows, cols) is therefore the rational rank.
+    * d_j o d_(j+1) = 0 gives rank_Q(d_j) + rank_Q(d_(j+1)) <= dim C_j.  If
+      chain degree j is exact mod 2, i.e. dim C_j = rank_2(d_j) +
+      rank_2(d_(j+1)), the two inequalities squeeze both rational ranks down
+      to their GF(2) values.
+    * So rank_Q(d_i) = rank_2(d_i) whenever the GF(2) homology vanishes at
+      chain degree i or at chain degree i - 1, the two ends of d_i.  Bareiss
+      runs only when both carry GF(2) homology; the 2-torsion of the RP^2
+      cone is one such map.
+
+    The certificate reads only GF(2) ranks of d_(i-1), d_i and d_(i+1), which
+    the depth scan has usually computed already.
     """
-    key = (strand.multidegree, i, field)
+    key = (strand.multidegree, i, field.p)
     r = ranks.get(key)
     if r is not None:
         return r
@@ -125,7 +138,7 @@ def strand_rank(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCach
         r = rank_mod_p(strand.entries(i), field.p)
     else:
         r = strand_rank(strand, i, GF2, ranks)
-        if r < short:
+        if r < short and _homology_dim(strand, i, GF2, ranks) and _homology_dim(strand, i - 1, GF2, ranks):
             r = rank_bareiss(strand.entries(i))
     ranks[key] = r
     return r
@@ -138,6 +151,22 @@ def _homology_dim(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCa
             f"negative homology dimension {dim} at mask {strand.multidegree:#b}, chain degree {i}"
         )
     return dim
+
+
+def _masks_of_size(n: int, k: int) -> Iterator[int]:
+    """The n-bit masks with k >= 1 bits set, in increasing order.
+
+    Each mask is the least larger one with the same bit count (Gosper's
+    hack): add the lowest set bit to carry the lowest run of ones one place
+    up, then refill the bits the carry cleared at the bottom.
+    """
+    m = (1 << k) - 1
+    limit = 1 << n
+    while m < limit:
+        yield m
+        low = m & -m
+        ripple = m + low
+        m = ripple | (((m ^ ripple) >> 2) // low)
 
 
 def exact_depth_multi(
@@ -154,12 +183,13 @@ def exact_depth_multi(
     Only multidegrees in I carry a strand, and membership is read off the
     generator masks; a strand is built for those alone.
 
+    Multidegrees are visited by decreasing size and, within a size, by
+    increasing mask; each size's masks are generated as the scan reaches it.
     Within a strand only the chain degrees above the field's running maximum
     can matter; they are visited from the top down and the first one with
-    nonzero homology ends the strand for that field.  Over Q each candidate
-    degree is screened over GF(2) first: rank over GF(2) <= rank over Q for
-    every map (see :func:`strand_rank`), so dim H_i over Q <= dim H_i over
-    GF(2), and a degree with zero GF(2) homology is exact over Q without any
+    nonzero homology ends the strand for that field.  Over Q a degree that is
+    exact over GF(2) certifies the rational ranks of both maps at its ends
+    (see :func:`strand_rank`), so it comes out exact over Q without any
     rational elimination.  Odd primes are ranked directly by modular
     elimination.
 
@@ -176,14 +206,11 @@ def exact_depth_multi(
     n, d = inst.n, inst.d
     gens_i = [g.mask for g in inst.ideal_i.generators]
     best = {f: -1 for f in field_list}
-    by_size: dict[int, list[int]] = {}
-    for mask in range(1 << n):
-        by_size.setdefault(mask.bit_count(), []).append(mask)
     for size in range(n, 0, -1):
         bound = size - d
         if bound <= min(best.values()):
             break
-        for mask in by_size.get(size, ()):
+        for mask in _masks_of_size(n, size):
             if not any(g & ~mask == 0 for g in gens_i):
                 continue
             strand = build_strand(poset, mask)
@@ -192,8 +219,6 @@ def exact_depth_multi(
             for f in field_list:
                 for i in range(bound, best[f], -1):
                     if not strand.basis(i):
-                        continue
-                    if f.is_rationals and not _homology_dim(strand, i, GF2, ranks):
                         continue
                     if _homology_dim(strand, i, f, ranks):
                         best[f] = i

@@ -133,7 +133,7 @@ def transpose(m: SignMatrix) -> SignMatrix:
 
 
 def _raw_rank(entries, field: FieldSpec) -> int:
-    if field.is_rationals:
+    if field.p is None:
         return rank_bareiss(entries)
     if field.p == 2:
         return rank_gf2(entries)
@@ -205,7 +205,7 @@ def rank_pair_check(m: SignMatrix, field_a: FieldSpec = RATIONALS, field_b: Fiel
     rationals, so the modular rank can never exceed the rational one; a
     violation means an elimination bug.
     """
-    if not field_a.is_rationals or field_b.is_rationals:
+    if field_a.p is not None or field_b.p is None:
         raise InputError("rank_pair_check expects (rationals, prime field)")
     r_q = rank(m, field_a)
     r_p = rank(m, field_b)

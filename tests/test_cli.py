@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import itertools
 import json
 import pkgutil
@@ -10,6 +12,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sqfdepth
 import sqfdepth.poset as poset_module
@@ -365,8 +368,14 @@ def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys):
         (["depth"], b"[" * 200000),
         (["scan", "--n", "4", "--count", "-2"], None),
         (["scan", "--n", "21", "--count", "1"], None),
+        (["strands", "--multidegree", ""], PAPER.encode()),
+        (["strands", "--multidegree", ","], PAPER.encode()),
+        (["strands", "--multidegree", "1,,3"], PAPER.encode()),
     ],
-    ids=["not-utf8", "nested-too-deeply", "negative-count", "n-past-limit"],
+    ids=[
+        "not-utf8", "nested-too-deeply", "negative-count", "n-past-limit",
+        "multidegree-empty", "multidegree-only-comma", "multidegree-empty-part",
+    ],
 )
 def test_cli_rejects_outside_input_with_exit_2(tmp_path, capsys, argv, content):
     args = list(argv)
@@ -393,3 +402,53 @@ def test_cli_rejects_a_field_size_past_the_limit_at_once(tmp_path, capsys):
     code, out, _ = run_cli(tmp_path, capsys, "depth", "--field", "gf:2147483647", instance_text=PAPER)
     assert code == 0
     assert json.loads(out)["depth"] == {"gf:2147483647": 3}
+
+
+@st.composite
+def instance_documents(draw):
+    """Instance documents with n <= 6, most of them valid.
+
+    J's generators are mostly multiples of I's, but J may also be empty, hold
+    a generator of I itself, or reach outside I; either list may repeat a
+    generator.
+    """
+    n = draw(st.integers(1, 6))
+    support = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+    gens_i = draw(st.lists(support, min_size=1, max_size=5))
+    gens_j = [
+        sorted(set(draw(st.sampled_from(gens_i))) | set(draw(support)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    gens_j += draw(st.lists(support, max_size=1))
+    gens_i += draw(st.lists(st.sampled_from(gens_i), max_size=2))
+    if gens_j:
+        gens_j += draw(st.lists(st.sampled_from(gens_j), max_size=2))
+    return {"n": n, "I": gens_i, "J": gens_j}
+
+
+CLI_COMMANDS = (
+    ("analyze",),
+    ("analyze", "--field", "q", "--field", "gf:2", "--field", "gf:3"),
+    ("depth", "--field", "q", "--field", "gf:2"),
+    ("bounds",),
+    ("sdepth",),
+    ("strands",),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=instance_documents(), multidegree=st.lists(st.integers(1, 6), max_size=6, unique=True))
+def test_cli_fuzz_exits_0_with_json_or_2_with_an_error(tmp_path_factory, doc, multidegree):
+    path = tmp_path_factory.mktemp("fuzz") / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    strands_at = ("strands", "--multidegree", ",".join(map(str, multidegree)))
+    for argv in CLI_COMMANDS + (strands_at,):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+        if code == 0:
+            assert isinstance(json.loads(out.getvalue()), dict), (argv, doc)
+        else:
+            assert code == 2, (argv, doc, err.getvalue())
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: "), (argv, doc)

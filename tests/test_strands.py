@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import pkgutil
 import random
 
@@ -26,6 +27,7 @@ from sqfdepth import (
 )
 from sqfdepth.generate import default_params
 from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
+from sqfdepth.strands import _masks_of_size, strand_rank
 
 from oracles import (
     GF3,
@@ -258,6 +260,44 @@ def test_screened_depth_matches_unscreened_reference():
         assert exact_depth_multi(enumerate_quotient(inst), SCREEN_FIELDS) == unscreened_depth_multi(inst, SCREEN_FIELDS), inst
 
 
+def test_certified_rational_ranks_match_bareiss():
+    # Every Q rank strand_rank returns, whether certified from GF(2) ranks or
+    # eliminated, must equal the rank by Bareiss on the same rows: the ranks
+    # an analysis computes through the shared cache, and on the smaller
+    # instances every map of every strand from a cache of its own.
+    instances = (
+        fuzz_instances(n_values=(3, 4, 5, 6, 7, 8), per_n=40)
+        + hypothesis_violating_instances()
+        + [rp2_cone_instance()]
+    )
+    checked = 0
+    for inst in instances:
+        poset = enumerate_quotient(inst)
+        ranks = {}
+        depths = exact_depth_multi(poset, (RATIONALS, GF2), ranks)
+        check_rank_split(poset, RATIONALS, depths[RATIONALS], ranks)
+        for (mask, i, p), r in ranks.items():
+            if p is None:
+                assert r == rank(boundary(build_strand(poset, mask), i), RATIONALS), (inst, mask, i)
+                checked += 1
+        if inst.n > 6:
+            continue
+        for strand in all_strands(inst):
+            for i in strand.chain_degrees():
+                assert strand_rank(strand, i, RATIONALS, {}) == rank(boundary(strand, i), RATIONALS), (inst, i)
+                checked += 1
+    assert checked > 30000
+
+
+def test_masks_of_size_follow_the_full_table():
+    for n in range(1, 11):
+        table = {}
+        for mask in range(1 << n):
+            table.setdefault(mask.bit_count(), []).append(mask)
+        for size in range(1, n + 1):
+            assert list(_masks_of_size(n, size)) == table[size]
+
+
 def test_torsion_instance_separates_q_from_gf2():
     # GF(2) homology is nonzero where rational homology vanishes: the screen
     # must hand that degree to Bareiss rather than conclude from GF(2).
@@ -310,13 +350,36 @@ def _spy_on_bareiss(monkeypatch) -> list[int]:
 def test_bareiss_call_count_gate(monkeypatch):
     # Six default_params(8) instances from seed 7: analyze over Q and GF(2)
     # made 1536 Bareiss calls before the GF(2) screen and the shared rank
-    # cache, and makes 20 with them.
+    # cache, 20 with them, and none once a Q rank is certified from GF(2)
+    # wherever either end of its map is exact mod 2.
     rng = random.Random(7)
     instances = [random_instance(default_params(8), rng) for _ in range(6)]
     calls = _spy_on_bareiss(monkeypatch)
     for inst in instances:
         assert analyze(inst, fields=(RATIONALS, GF2), sdepth_poset_cap=0).consistent
-    assert 1 <= len(calls) <= 20
+    assert len(calls) == 0
+
+
+def band_instance(n, low, high):
+    """I_{n,low}/I_{n,high}: all square-free monomials of degree low..high-1."""
+    def layer(k):
+        return [Monomial.from_support(n, c) for c in itertools.combinations(range(1, n + 1), k)]
+
+    return validate_pair(n, layer(low), layer(high))
+
+
+def test_band_quotient_rank_split_needs_no_bareiss(monkeypatch):
+    # The full strand of I_{10,3}/I_{10,6} carries homology in its degree-3
+    # and degree-5 layers and is exact mod 2 in the degree-4 layer between
+    # them.  The two maps at that layer fall short of full GF(2) rank; they
+    # went to Bareiss (a 210x120 and a 252x210 matrix) until the exact layer
+    # certified their Q ranks.
+    inst = band_instance(10, 3, 6)
+    calls = _spy_on_bareiss(monkeypatch)
+    report = analyze(inst, fields=(RATIONALS, GF2), sdepth_poset_cap=0)
+    assert report.consistent
+    assert report.depth == {"q": 3, "gf:2": 3}
+    assert calls == []
 
 
 def test_torsion_instance_reaches_bareiss(monkeypatch):
