@@ -23,7 +23,7 @@ from .errors import InputError, InternalConsistencyError, TheoremViolationError,
 from .generate import GeneratorParams, default_params, random_instance
 from .instancefile import instance_to_json, parse_instance
 from .linalg import GF2, RATIONALS, FieldSpec
-from .monomials import Monomial, MonomialIdeal, QuotientInstance, ideal_contains, minimalize, validate_pair
+from .monomials import Monomial, QuotientInstance, canonical_key, minimalize, validate_pair
 from .poset import PosetLayers, enumerate_quotient
 from .scan import ScanReport, conjecture_scan
 from .stanley import Interval, IntervalPartition, partition_exists, stanley_depth, verify_partition
@@ -49,7 +49,6 @@ __all__ = [
     "Interval",
     "IntervalPartition",
     "Monomial",
-    "MonomialIdeal",
     "PosetLayers",
     "QuotientInstance",
     "RATIONALS",
@@ -59,6 +58,7 @@ __all__ = [
     "ValidationError",
     "analyze",
     "build_strand",
+    "canonical_key",
     "check_alternating_drop",
     "check_base_drop",
     "check_layer_sandwich",
@@ -70,7 +70,6 @@ __all__ = [
     "default_params",
     "enumerate_quotient",
     "exact_depth_multi",
-    "ideal_contains",
     "instance_to_json",
     "minimalize",
     "parse_instance",

@@ -157,14 +157,14 @@ def check_principal_gap(poset: PosetLayers) -> Certificate:
     inst = poset.instance
     d = inst.d
     s, q = poset.rho(d + 1), poset.rho(d + 2)
-    principal = len(inst.ideal_i.generators) == 1
+    principal = len(inst.gens_i) == 1
     fired = principal and s > q + 1
     conclusions = (Conclusion(DEPTH_EQUALS, d + 1),) if fired else ()
     return Certificate(
         kind=PRINCIPAL_GAP,
         fired=fired,
         t=d + 1,
-        numbers={"s": s, "q": q, "generators_of_I": len(inst.ideal_i.generators)},
+        numbers={"s": s, "q": q, "generators_of_I": len(inst.gens_i)},
         conclusions=conclusions,
     )
 

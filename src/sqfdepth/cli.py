@@ -136,11 +136,11 @@ def _cmd_strands(args) -> int:
     inst = _read_instance(args.instance)
     n = inst.n
     if args.multidegree is not None:
-        try:
-            indices = [int(part) for part in args.multidegree.split(",")]
-        except ValueError:
+        parts = [part.strip() for part in args.multidegree.split(",")]
+        # ASCII digits only: int() would also take signs, underscores and non-ASCII digits.
+        if not all(part.isascii() and part.isdigit() for part in parts):
             raise ValidationError(f"bad multidegree {args.multidegree!r}; expected comma-separated indices")
-        a = Monomial.from_support(n, indices)
+        a = Monomial.from_support(n, [int(part) for part in parts])
     else:
         a = Monomial(n, (1 << n) - 1)
     strand = build_strand(enumerate_quotient(inst), a.mask)
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, InputError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InternalConsistencyError as exc:

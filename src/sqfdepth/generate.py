@@ -11,66 +11,47 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError
-from .monomials import Monomial, QuotientInstance, minimalize, validate_pair
+from .monomials import QuotientInstance, minimalize, validate_masks
 
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Knobs for the random instance generator.
-
-    Ranges are inclusive (lo, hi) pairs; degree ranges are clipped to what
-    the ambient n allows.  ``degree_j`` bounds the degrees of J's generators,
-    which are additionally forced above the degree of the I-generator they
-    multiply.
-    """
+    """The ambient variable count of the random instance generator."""
 
     n: int
-    gen_count_i: tuple[int, int] = (1, 4)
-    gen_count_j: tuple[int, int] = (0, 4)
-    degree_i: tuple[int, int] = (1, 3)
-    degree_j: tuple[int, int] = (2, 6)
 
     def __post_init__(self):
         if self.n < 1:
             raise InputError(f"need n >= 1, got {self.n}")
-        for lo, hi in (self.gen_count_i, self.gen_count_j, self.degree_i, self.degree_j):
-            if lo > hi or lo < 0:
-                raise InputError(f"bad range ({lo}, {hi})")
-        if self.gen_count_i[0] < 1:
-            raise InputError("I needs at least one generator")
 
 
 def default_params(n: int) -> GeneratorParams:
-    return GeneratorParams(
-        n=n,
-        gen_count_i=(1, min(4, n)),
-        gen_count_j=(0, 4),
-        degree_i=(1, max(1, n - 1)),
-        degree_j=(2, max(2, n)),
-    )
+    return GeneratorParams(n)
 
 
 def random_instance(params: GeneratorParams, rng: random.Random) -> QuotientInstance:
-    """Draw one validated instance; deterministic given the rng state."""
+    """Draw one validated instance; deterministic given the rng state.
+
+    I has 1..min(4, n) generators, each of degree 1..max(1, n-1).  J has
+    0..4 draws, each a multiple of a random minimal generator g of I of
+    degree deg g + 1..n; a draw on a g of degree n is skipped.
+    """
     n = params.n
-    deg_lo = min(params.degree_i[0], n)
-    deg_hi = min(params.degree_i[1], n)
+    variables = range(1, n + 1)
     gens_i = []
-    for _ in range(rng.randint(*params.gen_count_i)):
-        deg = rng.randint(deg_lo, deg_hi)
-        gens_i.append(Monomial.from_support(n, rng.sample(range(1, n + 1), deg)))
-    ideal_i = minimalize(n, gens_i)
+    for _ in range(rng.randint(1, min(4, n))):
+        deg = rng.randint(1, max(1, n - 1))
+        gens_i.append(sum(1 << (j - 1) for j in rng.sample(variables, deg)))
+    gens_i = minimalize(gens_i)
 
     gens_j = []
-    for _ in range(rng.randint(*params.gen_count_j)):
-        g = ideal_i.generators[rng.randrange(len(ideal_i.generators))]
-        lo = max(params.degree_j[0], g.degree + 1)
-        hi = min(params.degree_j[1], n)
-        if lo > hi:
+    for _ in range(rng.randint(0, 4)):
+        g = gens_i[rng.randrange(len(gens_i))]
+        lo = g.bit_count() + 1
+        if lo > n:
             continue
-        deg = rng.randint(lo, hi)
-        outside = [j for j in range(1, n + 1) if not g.mask >> (j - 1) & 1]
-        extra = rng.sample(outside, deg - g.degree)
-        gens_j.append(Monomial.from_support(n, tuple(g.support) + tuple(extra)))
+        deg = rng.randint(lo, n)
+        outside = [j for j in variables if not g >> (j - 1) & 1]
+        gens_j.append(g | sum(1 << (j - 1) for j in rng.sample(outside, deg - g.bit_count())))
 
-    return validate_pair(n, list(ideal_i.generators), gens_j)
+    return validate_masks(n, gens_i, gens_j)

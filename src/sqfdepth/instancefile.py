@@ -15,7 +15,7 @@ import json
 from typing import Any
 
 from .errors import InputError, ValidationError
-from .monomials import Monomial, QuotientInstance, validate_pair
+from .monomials import Monomial, QuotientInstance, support_of, validate_pair
 
 # Every computation walks the 2^n supports of the ambient ring.
 MAX_VARIABLES = 20
@@ -63,6 +63,6 @@ def instance_to_json(inst: QuotientInstance) -> dict:
     """Canonical JSON form: minimalized generators, supports ascending."""
     return {
         "n": inst.n,
-        "I": [list(g.support) for g in inst.ideal_i.generators],
-        "J": [list(g.support) for g in inst.ideal_j.generators],
+        "I": [list(support_of(g)) for g in inst.gens_i],
+        "J": [list(support_of(g)) for g in inst.gens_j],
     }

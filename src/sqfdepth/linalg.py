@@ -61,11 +61,11 @@ class FieldSpec:
         if text == "q":
             return cls()
         if text.startswith("gf:"):
-            try:
-                p = int(text[3:])
-            except ValueError:
-                raise InputError(f"bad prime in field spec {text!r}") from None
-            return cls(p)
+            digits = text[3:]
+            # int() would also take signs, underscores, spaces and non-ASCII digits.
+            if not (digits.isascii() and digits.isdigit()):
+                raise InputError(f"bad prime in field spec {text!r}")
+            return cls(int(digits))
         raise InputError(f"unknown field spec {text!r}; expected 'q' or 'gf:<p>'")
 
 

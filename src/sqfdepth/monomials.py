@@ -1,12 +1,17 @@
-"""Square-free monomials, monomial ideals, and validated quotient instances.
+"""Square-free monomials as support masks, and validated quotient instances.
 
 A square-free monomial in x_1..x_n is identified with its support, a subset
 of {1, ..., n} stored as a bitmask (bit j-1 set iff x_j divides the
 monomial).  Degree is the popcount and divisibility is subset containment,
 so both are O(1).  There is no exponent data anywhere in this package.
 
-Canonical order is (degree, support tuple); it fixes generator lists, layer
-enumerations, matrix layouts and partition witnesses bit-for-bit.
+Canonical order is (degree, support tuple), given on masks by
+:func:`canonical_key`; it fixes generator lists, layer enumerations, matrix
+layouts and partition witnesses bit-for-bit.  A :class:`QuotientInstance`
+holds its minimal generators as masks in that order.  :class:`Monomial`
+pairs a mask with its ambient n; it is the type of data entering
+(:meth:`Monomial.from_support`, :func:`validate_pair`) and leaving (witness
+intervals, strand labels, error messages).
 """
 
 from __future__ import annotations
@@ -15,6 +20,16 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError, ValidationError
+
+
+def support_of(mask: int) -> tuple[int, ...]:
+    """The 1-based indices of the set bits of a support mask, ascending."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """The canonical order on support masks: degree, then support tuple."""
+    return (mask.bit_count(), support_of(mask))
 
 
 @dataclass(frozen=True)
@@ -49,14 +64,11 @@ class Monomial:
     @property
     def support(self) -> tuple[int, ...]:
         """The 1-based indices of the variables dividing this monomial."""
-        return tuple(j + 1 for j in range(self.n) if self.mask >> j & 1)
+        return support_of(self.mask)
 
     @property
     def degree(self) -> int:
         return self.mask.bit_count()
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.degree, self.support)
 
     def __str__(self) -> str:
         if not self.mask:
@@ -64,85 +76,74 @@ class Monomial:
         return "*".join(f"x{j}" for j in self.support)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """A square-free monomial ideal given by its minimal generators.
+def minimalize(masks: Iterable[int]) -> tuple[int, ...]:
+    """Reduce a list of support masks to its divisibility-minimal, deduplicated core.
 
-    Generators are pairwise incomparable under divisibility and canonically
-    sorted.  Construct through :func:`minimalize`, which establishes both
-    invariants; the constructor itself checks nothing.
+    The result spans the same monomials as the input, in canonical order; an
+    empty list yields the zero ideal's empty tuple.
     """
-
-    n: int
-    generators: tuple[Monomial, ...]
-
-
-def minimalize(n: int, gens: Iterable[Monomial]) -> MonomialIdeal:
-    """Reduce a generator list to its divisibility-minimal, deduplicated core.
-
-    The returned ideal has the same monomial membership as the span of the
-    input list.  An empty list yields the zero ideal.
-    """
-    seen: set[int] = set()
-    unique: list[Monomial] = []
-    for g in gens:
-        if g.n != n:
-            raise InputError(f"generator {g} has ambient n={g.n}, expected {n}")
-        if g.mask not in seen:
-            seen.add(g.mask)
-            unique.append(g)
-    unique.sort(key=Monomial.sort_key)
-    kept: list[Monomial] = []
-    for g in unique:
-        if not any(h.mask & ~g.mask == 0 for h in kept):
+    kept: list[int] = []
+    for g in sorted(set(masks), key=canonical_key):
+        if not any(h & ~g == 0 for h in kept):
             kept.append(g)
-    return MonomialIdeal(n, tuple(kept))
-
-
-def ideal_contains(ideal: MonomialIdeal, m: Monomial) -> bool:
-    """Membership test: some generator divides m.  The zero ideal contains nothing."""
-    if ideal.n != m.n:
-        raise InputError(f"ambient mismatch: ideal n={ideal.n}, monomial n={m.n}")
-    mask = m.mask
-    return any(g.mask & ~mask == 0 for g in ideal.generators)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
 class QuotientInstance:
     """A validated pair J < I of square-free monomial ideals.
 
-    ``d`` is the minimal degree of a square-free monomial lying in I but not
-    in J.  ``hypothesis_flag`` records whether every minimal generator of J
-    has degree at least d+1 (the standing degree condition all bound
-    certificates assume for their lower-bound half).
+    ``gens_i`` and ``gens_j`` are the minimal generators of I and J as
+    support masks in canonical order.  ``d`` is the minimal degree of a
+    square-free monomial lying in I but not in J.  ``hypothesis_flag``
+    records whether every minimal generator of J has degree at least d+1
+    (the standing degree condition all bound certificates assume for their
+    lower-bound half).
     """
 
     n: int
-    ideal_i: MonomialIdeal
-    ideal_j: MonomialIdeal
+    gens_i: tuple[int, ...]
+    gens_j: tuple[int, ...]
     d: int
     hypothesis_flag: bool
+
+
+def _masks(n: int, gens: Iterable[Monomial]) -> list[int]:
+    masks = []
+    for g in gens:
+        if g.n != n:
+            raise InputError(f"generator {g} has ambient n={g.n}, expected {n}")
+        masks.append(g.mask)
+    return masks
 
 
 def validate_pair(n: int, gens_i: Iterable[Monomial], gens_j: Iterable[Monomial]) -> QuotientInstance:
     """Minimalize both generator lists and build a validated quotient instance.
 
+    Rejects generators over another ambient n, then as :func:`validate_masks`.
+    """
+    if n < 1:
+        raise ValidationError(f"need at least one variable, got n={n}")
+    return validate_masks(n, _masks(n, gens_i), _masks(n, gens_j))
+
+
+def validate_masks(n: int, gens_i: Iterable[int], gens_j: Iterable[int]) -> QuotientInstance:
+    """:func:`validate_pair` on support masks below 2^n, for n >= 1.
+
     Rejects: J not contained in I (naming the offending generator), J equal
     to I (empty quotient), and instances where the constant monomial lies in
     the quotient (d would be 0).
     """
-    if n < 1:
-        raise ValidationError(f"need at least one variable, got n={n}")
-    ideal_i = minimalize(n, gens_i)
-    ideal_j = minimalize(n, gens_j)
-    for g in ideal_j.generators:
-        if not ideal_contains(ideal_i, g):
-            raise ValidationError(f"generator {g} of J does not lie in I")
-    outside = [g for g in ideal_i.generators if not ideal_contains(ideal_j, g)]
+    gens_i = minimalize(gens_i)
+    gens_j = minimalize(gens_j)
+    for g in gens_j:
+        if not any(h & ~g == 0 for h in gens_i):
+            raise ValidationError(f"generator {Monomial(n, g)} of J does not lie in I")
+    outside = [g for g in gens_i if not any(h & ~g == 0 for h in gens_j)]
     if not outside:
         raise ValidationError("no square-free monomial lies in I but not in J (J = I or I = 0)")
-    d = min(g.degree for g in outside)
+    d = min(g.bit_count() for g in outside)
     if d < 1:
         raise ValidationError("the constant monomial lies in I \\ J; the quotient is not a proper module")
-    flag = all(g.degree >= d + 1 for g in ideal_j.generators)
-    return QuotientInstance(n=n, ideal_i=ideal_i, ideal_j=ideal_j, d=d, hypothesis_flag=flag)
+    flag = all(g.bit_count() >= d + 1 for g in gens_j)
+    return QuotientInstance(n=n, gens_i=gens_i, gens_j=gens_j, d=d, hypothesis_flag=flag)

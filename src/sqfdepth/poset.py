@@ -66,8 +66,7 @@ def enumerate_quotient(inst: QuotientInstance) -> PosetLayers:
     no duplicate handling.
     """
     n, d = inst.n, inst.d
-    gens_i = [g.mask for g in inst.ideal_i.generators]
-    gens_j = [g.mask for g in inst.ideal_j.generators]
+    gens_i, gens_j = inst.gens_i, inst.gens_j
     bits = [1 << j for j in range(n)]
     rows = []
     for t in range(d, n + 1):

@@ -204,7 +204,7 @@ def exact_depth_multi(
         ranks = {}
     inst = poset.instance
     n, d = inst.n, inst.d
-    gens_i = [g.mask for g in inst.ideal_i.generators]
+    gens_i = inst.gens_i
     best = {f: -1 for f in field_list}
     for size in range(n, 0, -1):
         bound = size - d

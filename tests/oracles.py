@@ -8,7 +8,8 @@ scan is the reference route for the package's screened scan, the
 untruncated exact-cover search the reference route for its Stanley search,
 and Gaussian elimination on Fractions the reference route for Bareiss.
 The small helpers at the top (per-instance rho/alpha/elements, supports of
-masks, interval members, single-field depth, divisibility of monomials, the
+masks, interval members, single-field depth, the reference membership test
+on generator masks, divisibility of monomials, the
 instance dump, the field GF(3), the checked SignMatrix with its ranks and
 products, a strand's boundary as a SignMatrix, boundary signs) are
 conveniences that only the tests use; each enumerates its own poset.  The
@@ -41,7 +42,6 @@ from sqfdepth import (
     build_strand,
     enumerate_quotient,
     exact_depth_multi,
-    ideal_contains,
     instance_to_json,
     validate_pair,
 )
@@ -83,6 +83,11 @@ def interval_members(interval: Interval, inst: QuotientInstance) -> tuple[Monomi
 def exact_depth(inst: QuotientInstance, field: FieldSpec = RATIONALS) -> int:
     """Exact depth of the quotient over one field, from its own enumeration."""
     return exact_depth_multi(enumerate_quotient(inst), (field,))[field]
+
+
+def ideal_contains(gens: Sequence[int], mask: int) -> bool:
+    """Reference membership test: some generator mask divides the mask.  The zero ideal contains nothing."""
+    return any(g & ~mask == 0 for g in gens)
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -237,7 +242,7 @@ def all_strands(inst: QuotientInstance) -> Iterator[StrandComplex]:
     """All nonempty strands, by multidegree mask ascending.  Deterministic."""
     poset = enumerate_quotient(inst)
     for mask in range(1 << inst.n):
-        if not ideal_contains(inst.ideal_i, Monomial(inst.n, mask)):
+        if not ideal_contains(inst.gens_i, mask):
             continue
         strand = build_strand(poset, mask)
         if not strand.is_empty:
@@ -285,19 +290,17 @@ def homology_profile(inst: QuotientInstance, field: FieldSpec = RATIONALS) -> Ho
     return HomologyProfile(per_strand=tuple(entries), max_nonzero=max_nonzero)
 
 
-def general_member(gens: list[Monomial], exponents: tuple[int, ...]) -> bool:
+def general_member(gens: Sequence[int], exponents: tuple[int, ...]) -> bool:
     """Membership of the (possibly non-square-free) monomial x^exponents."""
     support = 0
     for j, e in enumerate(exponents):
         if e:
             support |= 1 << j
-    return any(g.mask & ~support == 0 for g in gens)
+    return ideal_contains(gens, support)
 
 
 def brute_quotient_member(inst: QuotientInstance, exponents: tuple[int, ...]) -> bool:
-    return general_member(list(inst.ideal_i.generators), exponents) and not general_member(
-        list(inst.ideal_j.generators), exponents
-    )
+    return general_member(inst.gens_i, exponents) and not general_member(inst.gens_j, exponents)
 
 
 def brute_multidegree_homology(

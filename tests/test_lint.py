@@ -1,4 +1,4 @@
-"""A stdlib lint gate for the package sources: no unused imports, no stale exports."""
+"""A stdlib lint gate for the package sources: no unused imports, no stale exports, no dead public names."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ from pathlib import Path
 
 import sqfdepth
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sqfdepth"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sqfdepth"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -33,3 +35,29 @@ def test_module_level_imports_are_used():
 def test_package_all_entries_resolve():
     assert [name for name in sqfdepth.__all__ if not hasattr(sqfdepth, name)] == []
     assert len(set(sqfdepth.__all__)) == len(sqfdepth.__all__)
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_public_names_have_a_caller():
+    # A public top-level function or class of a package module must be used by
+    # the package or the benchmark somewhere outside its own definition.
+    paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    refs = [(node, _referenced(node)) for tree in trees.values() for node in tree.body]
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        if path.parent == SRC and path.name != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(node.name in names for other, names in refs if other is not node)
+    ]
+    assert unused == []

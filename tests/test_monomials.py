@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,12 +12,17 @@ from sqfdepth import (
     InputError,
     Monomial,
     ValidationError,
-    ideal_contains,
+    canonical_key,
+    default_params,
+    instance_to_json,
     minimalize,
+    parse_instance,
+    random_instance,
     validate_pair,
 )
+from sqfdepth.monomials import support_of
 
-from oracles import divides
+from oracles import divides, hypothesis_violating_instances, ideal_contains, rp2_cone_instance
 
 
 def mono(n, *indices):
@@ -50,24 +58,24 @@ def test_from_support_rejects_bad_indices():
 
 
 def test_minimalize_examples():
-    out = minimalize(3, [mono(3, 1), mono(3, 1, 2), mono(3, 3)])
-    assert [m.support for m in out.generators] == [(1,), (3,)]
-    out = minimalize(4, [mono(4, 1, 4)])
-    assert [m.support for m in out.generators] == [(1, 4)]
-    out = minimalize(3, [mono(3, 1, 2), mono(3, 2, 1)])
-    assert [m.support for m in out.generators] == [(1, 2)]
+    out = minimalize([mono(3, 1).mask, mono(3, 1, 2).mask, mono(3, 3).mask])
+    assert [support_of(g) for g in out] == [(1,), (3,)]
+    out = minimalize([mono(4, 1, 4).mask])
+    assert [support_of(g) for g in out] == [(1, 4)]
+    out = minimalize([mono(3, 1, 2).mask, mono(3, 2, 1).mask])
+    assert [support_of(g) for g in out] == [(1, 2)]
 
 
 def test_minimalize_empty_is_zero_ideal():
-    out = minimalize(3, [])
-    assert out.generators == ()
-    assert not ideal_contains(out, mono(3, 1, 2))
+    out = minimalize([])
+    assert out == ()
+    assert not ideal_contains(out, mono(3, 1, 2).mask)
 
 
 def test_ideal_contains_examples():
-    j = minimalize(4, [mono(4, 1, 4)])
-    assert ideal_contains(j, mono(4, 1, 2, 3, 4))
-    assert not ideal_contains(j, mono(4, 2, 3))
+    j = minimalize([mono(4, 1, 4).mask])
+    assert ideal_contains(j, mono(4, 1, 2, 3, 4).mask)
+    assert not ideal_contains(j, mono(4, 2, 3).mask)
 
 
 def test_validate_pair_paper_instance():
@@ -85,7 +93,7 @@ def test_validate_pair_zero_j():
     inst = validate_pair(3, [mono(3, 1, 2)], [])
     assert inst.d == 2
     assert inst.hypothesis_flag
-    assert inst.ideal_j.generators == ()
+    assert inst.gens_j == ()
 
 
 def test_validate_pair_rejects_equal_ideals():
@@ -93,6 +101,11 @@ def test_validate_pair_rejects_equal_ideals():
         validate_pair(3, [mono(3, 1)], [mono(3, 1)])
     with pytest.raises(ValidationError):
         validate_pair(3, [], [])
+
+
+def test_validate_pair_rejects_another_ambient_n():
+    with pytest.raises(InputError, match="ambient n=4, expected 3"):
+        validate_pair(3, [mono(3, 1)], [mono(4, 1, 2)])
 
 
 def test_validate_pair_rejects_unit_ideal():
@@ -112,9 +125,9 @@ masks = st.integers(min_value=0, max_value=(1 << 6) - 1)
 
 
 @st.composite
-def gen_lists(draw, n=6, max_gens=5):
+def gen_lists(draw, max_gens=5):
     count = draw(st.integers(0, max_gens))
-    return [Monomial(n, draw(masks.filter(lambda m: m != 0))) for _ in range(count)]
+    return [draw(masks.filter(lambda m: m != 0)) for _ in range(count)]
 
 
 @given(masks, masks)
@@ -139,29 +152,45 @@ def test_divides_reflexive(a):
 
 @given(gen_lists())
 def test_minimalize_idempotent(gens):
-    once = minimalize(6, gens)
-    twice = minimalize(6, list(once.generators))
+    once = minimalize(gens)
+    twice = minimalize(once)
     assert once == twice
 
 
 @given(gen_lists())
 def test_ideal_contains_matches_bruteforce_span(gens):
-    ideal = minimalize(6, gens)
+    ideal = minimalize(gens)
     for mask in range(1 << 6):
-        m = Monomial(6, mask)
-        expected = any(g.mask & ~mask == 0 for g in gens)
-        assert ideal_contains(ideal, m) == expected
+        expected = any(g & ~mask == 0 for g in gens)
+        assert ideal_contains(ideal, mask) == expected
+
+
+def _is_canonical_antichain(gens) -> bool:
+    """A tuple of int masks, strictly increasing in canonical order, no one dividing another."""
+    keys = [canonical_key(g) for g in gens]
+    return (
+        type(gens) is tuple
+        and all(type(g) is int for g in gens)
+        and all(a < b for a, b in zip(keys, keys[1:]))
+        and not any(g & ~h == 0 for g in gens for h in gens if g != h)
+    )
 
 
 @given(gen_lists(max_gens=8))
 def test_minimalize_output_is_a_canonical_antichain_with_the_same_span(gens):
-    # minimalize is the only constructor of MonomialIdeal, which checks nothing itself.
-    ideal = minimalize(6, gens)
-    keys = [g.sort_key() for g in ideal.generators]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-    for k, g in enumerate(ideal.generators):
-        for h in ideal.generators[k + 1:]:
-            assert not divides(g, h) and not divides(h, g)
+    # QuotientInstance trusts minimalize for both invariants and checks nothing itself.
+    ideal = minimalize(gens)
+    assert _is_canonical_antichain(ideal)
     for mask in range(1 << 6):
-        spanned = any(g.mask & ~mask == 0 for g in gens)
-        assert any(g.mask & ~mask == 0 for g in ideal.generators) == spanned
+        spanned = any(g & ~mask == 0 for g in gens)
+        assert any(g & ~mask == 0 for g in ideal) == spanned
+
+
+def test_instances_hold_canonical_generator_masks_and_round_trip():
+    rng = random.Random(5)
+    drawn = [random_instance(default_params(n), rng) for n in range(1, 9) for _ in range(25)]
+    for inst in drawn + hypothesis_violating_instances() + [rp2_cone_instance()]:
+        parsed = parse_instance(json.dumps(instance_to_json(inst)))
+        assert parsed == inst
+        for gens in (inst.gens_i, inst.gens_j, parsed.gens_i, parsed.gens_j):
+            assert _is_canonical_antichain(gens)

@@ -27,6 +27,7 @@ from sqfdepth import (
 )
 from sqfdepth.generate import default_params
 from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
+from sqfdepth.monomials import support_of
 from sqfdepth.strands import _masks_of_size, strand_rank
 
 from oracles import (
@@ -204,14 +205,14 @@ def _restrict(inst, a):
     positions = {j: k + 1 for k, j in enumerate(a.support)}
     k = len(positions)
     gens_i = [
-        Monomial.from_support(k, [positions[j] for j in g.support])
-        for g in inst.ideal_i.generators
-        if g.mask & ~a.mask == 0
+        Monomial.from_support(k, [positions[j] for j in support_of(g)])
+        for g in inst.gens_i
+        if g & ~a.mask == 0
     ]
     gens_j = [
-        Monomial.from_support(k, [positions[j] for j in g.support])
-        for g in inst.ideal_j.generators
-        if g.mask & ~a.mask == 0
+        Monomial.from_support(k, [positions[j] for j in support_of(g)])
+        for g in inst.gens_j
+        if g & ~a.mask == 0
     ]
     return validate_pair(k, gens_i, gens_j)
 
