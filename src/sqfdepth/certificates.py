@@ -21,7 +21,7 @@ Kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .errors import TheoremViolationError
 from .linalg import GF2, RATIONALS, FieldSpec
@@ -83,18 +83,15 @@ class Certificate:
 
 def check_lower_bound(inst: QuotientInstance) -> Certificate:
     """depth >= d whenever every generator of J has degree >= d + 1."""
-    if inst.hypothesis_flag:
-        return Certificate(
-            kind=LOWER_BOUND,
-            fired=True,
-            numbers={"d": inst.d},
-            conclusions=(Conclusion(DEPTH_AT_LEAST, inst.d),),
-        )
+    fired = inst.hypothesis_flag
+    conclusions = (Conclusion(DEPTH_AT_LEAST, inst.d),) if fired else ()
+    warning = None if fired else "J has a generator of degree <= d; the lower bound does not apply"
     return Certificate(
         kind=LOWER_BOUND,
-        fired=False,
+        fired=fired,
         numbers={"d": inst.d},
-        warning="J has a generator of degree <= d; the lower bound does not apply",
+        conclusions=conclusions,
+        warning=warning,
     )
 
 
@@ -177,23 +174,21 @@ def check_layer_sandwich(poset: PosetLayers, depth: int) -> Certificate:
     d = poset.instance.d
     r_d, r_d1, r_d2 = poset.rho(d), poset.rho(d + 1), poset.rho(d + 2)
     fired = depth >= d + 2
-    numbers = {"depth": depth, "rho_d": r_d, "rho_d_plus_1": r_d1, "rho_d_plus_2": r_d2}
-    if not fired:
-        return Certificate(kind=LAYER_SANDWICH, fired=False, t=d + 1, numbers=numbers)
-    if not (r_d <= r_d1 <= r_d + r_d2):
-        raise TheoremViolationError(
-            f"layer sandwich failed at depth {depth}: rho_d={r_d}, rho_d+1={r_d1}, rho_d+2={r_d2}"
-        )
-    if r_d2 == 0 and r_d != r_d1:
-        raise TheoremViolationError(
-            f"layer sandwich equality failed: rho_d+2=0 but rho_d={r_d} != rho_d+1={r_d1}"
-        )
+    if fired:
+        if not (r_d <= r_d1 <= r_d + r_d2):
+            raise TheoremViolationError(
+                f"layer sandwich failed at depth {depth}: rho_d={r_d}, rho_d+1={r_d1}, rho_d+2={r_d2}"
+            )
+        if r_d2 == 0 and r_d != r_d1:
+            raise TheoremViolationError(
+                f"layer sandwich equality failed: rho_d+2=0 but rho_d={r_d} != rho_d+1={r_d1}"
+            )
     return Certificate(
         kind=LAYER_SANDWICH,
-        fired=True,
+        fired=fired,
         t=d + 1,
-        numbers=numbers,
-        conclusions=(Conclusion(INEQUALITY_HOLDS),),
+        numbers={"depth": depth, "rho_d": r_d, "rho_d_plus_1": r_d1, "rho_d_plus_2": r_d2},
+        conclusions=(Conclusion(INEQUALITY_HOLDS),) if fired else (),
     )
 
 
@@ -230,33 +225,26 @@ def check_rank_split(
         r = len(full.basis(n - d - i))
         rank_out = strand_rank(full, n - d - i, field, ranks)
         rank_in = strand_rank(full, n - d - i + 1, field, ranks)
-        numbers = {"i": i, "r": r, "rank_in": rank_in, "rank_out": rank_out, "depth": depth}
+        conclusions: tuple[Conclusion, ...] = ()
         if depth > d + i:
             if r != rank_in + rank_out:
                 raise TheoremViolationError(
                     f"rank split failed at i={i} over {field.label}: "
                     f"r={r}, rank_in={rank_in}, rank_out={rank_out}, depth={depth}"
                 )
-            cert = Certificate(
-                kind=RANK_SPLIT,
-                fired=True,
-                t=d + i,
-                field=field,
-                numbers=numbers,
-                conclusions=(Conclusion(RANK_IDENTITY_HOLDS),),
-            )
+            conclusions = (Conclusion(RANK_IDENTITY_HOLDS),)
         elif r > rank_in + rank_out:
-            cert = Certificate(
+            conclusions = (Conclusion(DEPTH_AT_MOST, d + i),)
+        out.append(
+            Certificate(
                 kind=RANK_SPLIT,
-                fired=True,
+                fired=bool(conclusions),
                 t=d + i,
                 field=field,
-                numbers=numbers,
-                conclusions=(Conclusion(DEPTH_AT_MOST, d + i),),
+                numbers={"i": i, "r": r, "rank_in": rank_in, "rank_out": rank_out, "depth": depth},
+                conclusions=conclusions,
             )
-        else:
-            cert = Certificate(kind=RANK_SPLIT, fired=False, t=d + i, field=field, numbers=numbers)
-        out.append(cert)
+        )
     return out
 
 
@@ -339,9 +327,7 @@ def analyze(
     findings = [c.warning for c in certificates if c.warning]
     for f, depth_f in depths_by_field.items():
         try:
-            sandwich = check_layer_sandwich(poset, depth_f)
-            sandwich.field = f
-            certificates.append(sandwich)
+            certificates.append(replace(check_layer_sandwich(poset, depth_f), field=f))
         except TheoremViolationError as exc:
             inconsistencies.append(f"{f.label}: {exc}")
         try:

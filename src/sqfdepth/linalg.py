@@ -62,8 +62,9 @@ class FieldSpec:
             return cls()
         if text.startswith("gf:"):
             digits = text[3:]
-            # int() would also take signs, underscores, spaces and non-ASCII digits.
-            if not (digits.isascii() and digits.isdigit()):
+            # int() would also take signs, underscores, spaces and non-ASCII digits;
+            # a leading zero would run GF(p) under a label other than its input.
+            if not (digits.isascii() and digits.isdigit()) or digits.startswith("0"):
                 raise InputError(f"bad prime in field spec {text!r}")
             return cls(int(digits))
         raise InputError(f"unknown field spec {text!r}; expected 'q' or 'gf:<p>'")

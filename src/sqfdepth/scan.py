@@ -3,35 +3,26 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .certificates import check_alternating_drop
+from .certificates import ALTERNATING_DROP, analyze
+from .errors import InternalConsistencyError
 from .generate import GeneratorParams, random_instance
 from .instancefile import instance_to_json
 from .linalg import GF2, RATIONALS
-from .poset import enumerate_quotient
-from .stanley import stanley_depth
-from .strands import exact_depth_multi
 
 
 @dataclass
 class ScanRecord:
     index: int
-    instance_data: dict
+    instance: dict
     d: int
     depth: dict[str, int]
     sdepth: int | None
     min_fired_drop: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "instance": self.instance_data,
-            "d": self.d,
-            "depth": self.depth,
-            "sdepth": self.sdepth,
-            "min_fired_drop": self.min_fired_drop,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -41,7 +32,8 @@ class ScanReport:
     ``stanley_violations`` lists record indices where the Stanley depth fell
     below the exact depth in some field (a first-class finding, never an
     assertion), ``bound_gap_findings`` those where it fell below the best
-    fired alternating-drop bound.
+    fired alternating-drop bound, ``skipped_sdepth`` those whose Stanley
+    depth was not computed.
     """
 
     n: int
@@ -53,15 +45,7 @@ class ScanReport:
     skipped_sdepth: list[int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "count": self.count,
-            "seed": self.seed,
-            "records": [r.to_json_dict() for r in self.records],
-            "stanley_violations": self.stanley_violations,
-            "bound_gap_findings": self.bound_gap_findings,
-            "skipped_sdepth": self.skipped_sdepth,
-        }
+        return asdict(self)
 
 
 def conjecture_scan(
@@ -70,49 +54,43 @@ def conjecture_scan(
     seed: int,
     max_sdepth_poset: int | None = None,
 ) -> ScanReport:
-    """Generate ``count`` instances and compare sdepth, depth, and drop bounds.
+    """Generate ``count`` instances, run :func:`analyze` on each over Q and
+    GF(2), and compare Stanley depth with depth and the drop bounds.
 
-    Fully reproducible from the seed.  Instances whose poset exceeds
-    ``max_sdepth_poset`` (when set) skip the Stanley computation and are
-    listed in ``skipped_sdepth``.
+    Fully reproducible from the seed.  Each record is read off its analysis
+    report, so every fired certificate is cross-checked against the exact
+    depths; an inconsistent report raises :class:`InternalConsistencyError`
+    naming the record.  Instances whose poset exceeds ``max_sdepth_poset``
+    (when set) skip the Stanley computation and are listed in
+    ``skipped_sdepth``.
     """
     rng = random.Random(seed)
     records: list[ScanRecord] = []
-    stanley_violations: list[int] = []
-    bound_gap_findings: list[int] = []
-    skipped: list[int] = []
     for index in range(count):
         inst = random_instance(params, rng)
-        poset = enumerate_quotient(inst)
-        depths = exact_depth_multi(poset, (RATIONALS, GF2))
-        depth_map = {f.label: v for f, v in depths.items()}
-        fired_ts = [c.t for c in check_alternating_drop(poset) if c.fired]
-        min_fired = min(fired_ts) if fired_ts else None
-        sdepth_value: int | None = None
-        if max_sdepth_poset is None or len(poset.elements()) <= max_sdepth_poset:
-            sdepth_value, _ = stanley_depth(poset)
-            if sdepth_value < max(depth_map.values()):
-                stanley_violations.append(index)
-            if min_fired is not None and sdepth_value < min_fired:
-                bound_gap_findings.append(index)
-        else:
-            skipped.append(index)
+        report = analyze(inst, (RATIONALS, GF2), max_sdepth_poset)
+        if not report.consistent:
+            raise InternalConsistencyError(f"scan record {index}: " + "; ".join(report.inconsistencies))
+        fired_ts = [c.t for c in report.certificates if c.kind == ALTERNATING_DROP and c.fired]
         records.append(
             ScanRecord(
                 index=index,
-                instance_data=instance_to_json(inst),
+                instance=instance_to_json(inst),
                 d=inst.d,
-                depth=depth_map,
-                sdepth=sdepth_value,
-                min_fired_drop=min_fired,
+                depth=report.depth,
+                sdepth=report.sdepth,
+                min_fired_drop=min(fired_ts, default=None),
             )
         )
+    computed = [r for r in records if r.sdepth is not None]
     return ScanReport(
         n=params.n,
         count=count,
         seed=seed,
         records=records,
-        stanley_violations=stanley_violations,
-        bound_gap_findings=bound_gap_findings,
-        skipped_sdepth=skipped,
+        stanley_violations=[r.index for r in computed if r.sdepth < max(r.depth.values())],
+        bound_gap_findings=[
+            r.index for r in computed if r.min_fired_drop is not None and r.sdepth < r.min_fired_drop
+        ],
+        skipped_sdepth=[r.index for r in records if r.sdepth is None],
     )

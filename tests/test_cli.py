@@ -11,15 +11,19 @@ import json
 import pkgutil
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sqfdepth
+import sqfdepth.certificates as certificates_module
 import sqfdepth.poset as poset_module
 from sqfdepth import (
     GF2,
     RATIONALS,
+    Conclusion,
+    InternalConsistencyError,
     Monomial,
     ValidationError,
     build_strand,
@@ -28,6 +32,7 @@ from sqfdepth import (
     check_layer_sandwich,
     check_principal_gap,
     check_rank_split,
+    conjecture_scan,
     counting_certificates,
     enumerate_quotient,
     exact_depth_multi,
@@ -39,6 +44,7 @@ from sqfdepth import (
     validate_pair,
     verify_partition,
 )
+from sqfdepth.certificates import DEPTH_EQUALS
 from sqfdepth.cli import main
 from sqfdepth.generate import default_params
 from sqfdepth.stanley import Interval, IntervalPartition
@@ -232,6 +238,43 @@ def test_cli_scan_deterministic_bytes(tmp_path, capsys):
     assert len(doc["records"]) == 25
 
 
+def test_cli_scan_output_is_pinned(tmp_path, capsys):
+    # A scan's stdout is fixed by its arguments; these digests pin it across changes
+    # to how its records are computed.
+    pinned = {
+        ("--n", "6", "--count", "200", "--seed", "601"):
+            "402408a09ed3913ecd3bf4c82f49d3756df8b6ccb92d081ae8762c275013156b",
+        ("--n", "6", "--count", "40", "--seed", "2", "--max-sdepth-poset", "5"):
+            "d3353ec31179c26dabb17ca0cfd18f33513bb97a5561aab170317981a078b164",
+        ("--n", "1", "--count", "3"):
+            "5bd8436d2e917cd06d7ea36bbf8fc18f5de558e8524dc094a7f948f6596851d6",
+    }
+    for argv, digest in pinned.items():
+        code, out, err = run_cli(tmp_path, capsys, "scan", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_scan_cross_checks_every_fired_certificate(tmp_path, capsys, monkeypatch):
+    # A base-drop checker that always fires depth = n + 1, which no depth meets.
+    original = certificates_module.check_base_drop
+    calls: list[int] = []
+
+    def wrong(poset):
+        n = poset.instance.n
+        calls.append(n)
+        return replace(original(poset), fired=True, conclusions=(Conclusion(DEPTH_EQUALS, n + 1),))
+
+    _patch_everywhere(monkeypatch, original, wrong)
+    with pytest.raises(InternalConsistencyError, match=r"^scan record 0: certificate base_drop"):
+        conjecture_scan(default_params(4), count=3, seed=1)
+    assert calls == [4]
+    code, out, err = run_cli(tmp_path, capsys, "scan", "--n", "4", "--count", "3", "--seed", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal inconsistency: scan record 0: certificate base_drop")
+
+
 def test_cli_scan_different_seed_differs(tmp_path, capsys):
     _, out1, _ = run_cli(tmp_path, capsys, "scan", "--n", "4", "--count", "10", "--seed", "1")
     _, out2, _ = run_cli(tmp_path, capsys, "scan", "--n", "4", "--count", "10", "--seed", "2")
@@ -282,6 +325,18 @@ def test_cli_sdepth_band_7_2_5(tmp_path, capsys):
     assert json.loads(out)["sdepth"] == 3
 
 
+def _patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace a function wherever the package or one of its modules holds it."""
+    modules = [sqfdepth] + [
+        importlib.import_module(f"sqfdepth.{info.name}")
+        for info in pkgutil.iter_modules(sqfdepth.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
 def _spy_on_enumerate(monkeypatch) -> list[int]:
     """Replace enumerate_quotient wherever a package module holds it; return the call log."""
     calls: list[int] = []
@@ -291,12 +346,7 @@ def _spy_on_enumerate(monkeypatch) -> list[int]:
         calls.append(inst.n)
         return original(inst)
 
-    for info in pkgutil.iter_modules(sqfdepth.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"sqfdepth.{info.name}")
-        if getattr(module, "enumerate_quotient", None) is original:
-            monkeypatch.setattr(module, "enumerate_quotient", spy)
+    _patch_everywhere(monkeypatch, original, spy)
     return calls
 
 
@@ -393,12 +443,15 @@ def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys):
         (["depth", "--field", "gf:+3"], PAPER.encode()),
         (["depth", "--field", "gf: 3"], PAPER.encode()),
         (["depth", "--field", "gf:\u0663"], PAPER.encode()),
+        (["depth", "--field", "gf:03"], PAPER.encode()),
+        (["depth", "--field", "gf:003"], PAPER.encode()),
+        (["depth", "--field", "gf:02"], PAPER.encode()),
     ],
     ids=[
         "not-utf8", "nested-too-deeply", "negative-count", "n-past-limit",
         "multidegree-empty", "multidegree-only-comma", "multidegree-empty-part",
         "multidegree-underscore", "multidegree-sign", "field-underscore", "field-sign", "field-space",
-        "field-non-ascii-digit",
+        "field-non-ascii-digit", "field-leading-zero", "field-leading-zeros", "field-leading-zero-2",
     ],
 )
 def test_cli_rejects_outside_input_with_exit_2(tmp_path, capsys, argv, content):
@@ -461,8 +514,19 @@ CLI_COMMANDS = (
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(doc=instance_documents(), multidegree=st.lists(st.integers(1, 6), max_size=6, unique=True))
-def test_cli_fuzz_exits_0_with_json_or_2_with_an_error(tmp_path_factory, doc, multidegree):
+@given(
+    doc=instance_documents(),
+    multidegree=st.lists(st.integers(1, 6), max_size=6, unique=True),
+    scan=st.tuples(st.integers(1, 6), st.integers(0, 5), st.integers(), st.integers(-1, 50)),
+)
+def test_cli_fuzz_exits_0_with_json_or_2_with_an_error(tmp_path_factory, doc, multidegree, scan):
+    # A scan draws valid instances only, so it must exit 0 with one JSON object.
+    scan_argv = ["scan", *(f"--{opt}={v}" for opt, v in zip(("n", "count", "seed", "max-sdepth-poset"), scan))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(scan_argv) == 0, scan_argv
+    assert out.getvalue().count("\n") == 1, scan_argv
+    assert isinstance(json.loads(out.getvalue()), dict), scan_argv
     path = tmp_path_factory.mktemp("fuzz") / "instance.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     strands_at = ("strands", "--multidegree", ",".join(map(str, multidegree)))

@@ -61,3 +61,16 @@ def test_public_names_have_a_caller():
         and not any(node.name in names for other, names in refs if other is not node)
     ]
     assert unused == []
+
+
+def test_scan_builds_on_analyze_alone():
+    # A scan reads each record off an analyze report; importing a stage of its
+    # own would grow a second pipeline that no cross-check covers.
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "scan.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    stages = {"strands", "stanley", "poset", "enumerate_quotient", "exact_depth_multi", "stanley_depth"}
+    assert sorted(name for name in names if name in stages or name.startswith("check_")) == []
