@@ -1,10 +1,13 @@
 """Checkable depth certificates driven by layer counts and strand ranks.
 
 Each checker evaluates one combinatorial criterion against an instance and
-returns a Certificate recording the numbers it consumed, whether the
-hypothesis fired, and what the firing concludes about depth.  Certificates
-are data, not booleans, so a failing cross-check is diagnosable from the
-report alone.
+returns a Certificate recording the numbers it consumed and what they
+conclude about depth; a certificate has fired when it concludes anything.
+Certificates are data, not booleans, so a failing cross-check is
+diagnosable from the report alone.  No checker judges its own result:
+:func:`analyze` checks every conclusion against the exact depths, so a
+criterion that fails where it must hold stays in the report as a violated
+depth bound.
 
 Kinds:
 
@@ -13,22 +16,25 @@ Kinds:
 * ``alternating_drop``  rho_{t+1} < alpha_t      =>  depth <= t, and = t once
                         depth >= t is known independently
 * ``principal_gap``     I principal, rho_{d+1} > rho_{d+2} + 1  =>  depth = d+1
-* ``layer_sandwich``    depth >= d+2  =>  rho_d <= rho_{d+1} <= rho_d + rho_{d+2}
-* ``rank_split``        depth > d+i   =>  rho_{d+i} splits as the sum of the
-                        ranks of the two adjacent full-strand boundary maps;
-                        conversely a surplus forces depth <= d+i
+* ``layer_sandwich``    depth >= d+2  =>  rho_d <= rho_{d+1} <= rho_d + rho_{d+2};
+                        a failing sandwich concludes depth <= d+1, exactly
+                        where ``base_drop`` or ``alternating_drop(t=d+1)``
+                        fires
+* ``rank_split``        a surplus of rho_{d+i} over the ranks of the two
+                        adjacent full-strand boundary maps  =>  depth <= d+i;
+                        with no surplus and depth > d+i the layer splits
+                        as the sum of those ranks
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 
-from .errors import TheoremViolationError
 from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import QuotientInstance
 from .poset import PosetLayers, enumerate_quotient
 from .stanley import IntervalPartition, stanley_depth
-from .strands import RankCache, build_strand, exact_depth_multi, strand_rank
+from .strands import RankCache, build_strand, exact_depth_multi, homology_dim, strand_rank
 
 LOWER_BOUND = "lower_bound"
 BASE_DROP = "base_drop"
@@ -62,12 +68,15 @@ class Conclusion:
 @dataclass
 class Certificate:
     kind: str
-    fired: bool
     t: int | None = None
     field: FieldSpec | None = None
     numbers: dict[str, int] = dc_field(default_factory=dict)
     conclusions: tuple[Conclusion, ...] = ()
     warning: str | None = None
+
+    @property
+    def fired(self) -> bool:
+        return bool(self.conclusions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,7 +97,6 @@ def check_lower_bound(inst: QuotientInstance) -> Certificate:
     warning = None if fired else "J has a generator of degree <= d; the lower bound does not apply"
     return Certificate(
         kind=LOWER_BOUND,
-        fired=fired,
         numbers={"d": inst.d},
         conclusions=conclusions,
         warning=warning,
@@ -104,13 +112,11 @@ def check_base_drop(poset: PosetLayers) -> Certificate:
     """
     d = poset.instance.d
     r_d, r_d1 = poset.rho(d), poset.rho(d + 1)
-    fired = r_d > r_d1
     conclusions = ()
-    if fired:
+    if r_d > r_d1:
         conclusions = (Conclusion(DEPTH_AT_MOST, d), Conclusion(DEPTH_EQUALS, d))
     return Certificate(
         kind=BASE_DROP,
-        fired=fired,
         t=d,
         numbers={"rho_d": r_d, "rho_d_plus_1": r_d1},
         conclusions=conclusions,
@@ -130,9 +136,8 @@ def check_alternating_drop(poset: PosetLayers) -> list[Certificate]:
     for t in range(d, n + 1):
         r_next = poset.rho(t + 1)
         a_t = alpha[t]
-        fired = r_next < a_t
         conclusions = ()
-        if fired:
+        if r_next < a_t:
             conclusions = (
                 Conclusion(DEPTH_AT_MOST, t),
                 Conclusion(DEPTH_EQUALS, t, requires_depth_at_least=t),
@@ -140,7 +145,6 @@ def check_alternating_drop(poset: PosetLayers) -> list[Certificate]:
         out.append(
             Certificate(
                 kind=ALTERNATING_DROP,
-                fired=fired,
                 t=t,
                 numbers={"rho_t_plus_1": r_next, "alpha_t": a_t},
                 conclusions=conclusions,
@@ -159,7 +163,6 @@ def check_principal_gap(poset: PosetLayers) -> Certificate:
     conclusions = (Conclusion(DEPTH_EQUALS, d + 1),) if fired else ()
     return Certificate(
         kind=PRINCIPAL_GAP,
-        fired=fired,
         t=d + 1,
         numbers={"s": s, "q": q, "generators_of_I": len(inst.gens_i)},
         conclusions=conclusions,
@@ -168,27 +171,25 @@ def check_principal_gap(poset: PosetLayers) -> Certificate:
 
 def check_layer_sandwich(poset: PosetLayers, depth: int) -> Certificate:
     """With depth >= d + 2, the middle layer is sandwiched:
-    rho_d <= rho_{d+1} <= rho_d + rho_{d+2}, and rho_{d+2} = 0 forces equality
-    on the left.  A violation while fired flags an implementation bug.
+    rho_d <= rho_{d+1} <= rho_d + rho_{d+2}, so rho_{d+2} = 0 forces equality
+    on the left.
+
+    The sandwich fails exactly where a drop fires: rho_{d+1} < rho_d is
+    ``base_drop``, and rho_{d+1} > rho_d + rho_{d+2} is
+    rho_{d+2} < alpha_{d+1}, i.e. ``alternating_drop(t=d+1)``.  Either way
+    depth <= d+1, which is what a failing sandwich concludes.
     """
     d = poset.instance.d
     r_d, r_d1, r_d2 = poset.rho(d), poset.rho(d + 1), poset.rho(d + 2)
-    fired = depth >= d + 2
-    if fired:
-        if not (r_d <= r_d1 <= r_d + r_d2):
-            raise TheoremViolationError(
-                f"layer sandwich failed at depth {depth}: rho_d={r_d}, rho_d+1={r_d1}, rho_d+2={r_d2}"
-            )
-        if r_d2 == 0 and r_d != r_d1:
-            raise TheoremViolationError(
-                f"layer sandwich equality failed: rho_d+2=0 but rho_d={r_d} != rho_d+1={r_d1}"
-            )
+    conclusions = ()
+    if depth >= d + 2:
+        holds = r_d <= r_d1 <= r_d + r_d2
+        conclusions = (Conclusion(INEQUALITY_HOLDS) if holds else Conclusion(DEPTH_AT_MOST, d + 1),)
     return Certificate(
         kind=LAYER_SANDWICH,
-        fired=fired,
         t=d + 1,
         numbers={"depth": depth, "rho_d": r_d, "rho_d_plus_1": r_d1, "rho_d_plus_2": r_d2},
-        conclusions=(Conclusion(INEQUALITY_HOLDS),) if fired else (),
+        conclusions=conclusions,
     )
 
 
@@ -202,9 +203,13 @@ def check_rank_split(
 
     At the full multidegree, the boundary leaving the degree-(d+i) layer
     sits at chain degree n-d-i and the one entering it at chain degree
-    n-d-i+1.  Whenever depth > d+i the layer size r = rho_{d+i} must equal
-    the sum of those two ranks (exactness); a strict surplus instead
-    certifies depth <= d+i.
+    n-d-i+1.  The surplus r - rank_in - rank_out of the layer size
+    r = rho_{d+i} over those two ranks is the full strand's homology at
+    chain degree n-d-i, so a nonzero surplus certifies depth <= d+i at any
+    depth; with no surplus and depth > d+i the layer splits exactly as the
+    sum of the two ranks.  :func:`homology_dim` raises on a negative
+    surplus, so an impossible r < rank_in + rank_out never passes as a
+    split.
 
     The full strand is built here, bases only; its chain-degree-(n-d-i)
     basis is the degree-(d+i) layer, so r is read off it.  Ranks come from
@@ -222,26 +227,24 @@ def check_rank_split(
         ranks = {}
     out = []
     for i in range(0, n - d):
-        r = len(full.basis(n - d - i))
-        rank_out = strand_rank(full, n - d - i, field, ranks)
-        rank_in = strand_rank(full, n - d - i + 1, field, ranks)
+        j = n - d - i
         conclusions: tuple[Conclusion, ...] = ()
-        if depth > d + i:
-            if r != rank_in + rank_out:
-                raise TheoremViolationError(
-                    f"rank split failed at i={i} over {field.label}: "
-                    f"r={r}, rank_in={rank_in}, rank_out={rank_out}, depth={depth}"
-                )
-            conclusions = (Conclusion(RANK_IDENTITY_HOLDS),)
-        elif r > rank_in + rank_out:
+        if homology_dim(full, j, field, ranks):
             conclusions = (Conclusion(DEPTH_AT_MOST, d + i),)
+        elif depth > d + i:
+            conclusions = (Conclusion(RANK_IDENTITY_HOLDS),)
         out.append(
             Certificate(
                 kind=RANK_SPLIT,
-                fired=bool(conclusions),
                 t=d + i,
                 field=field,
-                numbers={"i": i, "r": r, "rank_in": rank_in, "rank_out": rank_out, "depth": depth},
+                numbers={
+                    "i": i,
+                    "r": len(full.basis(j)),
+                    "rank_in": strand_rank(full, j + 1, field, ranks),
+                    "rank_out": strand_rank(full, j, field, ranks),
+                    "depth": depth,
+                },
                 conclusions=conclusions,
             )
         )
@@ -278,8 +281,6 @@ class AnalysisReport:
 
 
 def _conclusion_violations(cert: Certificate, depths: dict[str, int]) -> list[str]:
-    if not cert.fired:
-        return []
     labels = [cert.field.label] if cert.field is not None else sorted(depths)
     out = []
     for label in labels:
@@ -311,32 +312,24 @@ def analyze(
     Enumerates the quotient poset once and hands it to every stage, along
     with one rank cache, evaluates all certificates, computes the exact
     depth per requested field and (poset size permitting) the Stanley depth
-    with witness, then verifies every fired conclusion against the exact
-    depths.  The fields are deduplicated, and an empty list rejected, by
-    :func:`exact_depth_multi`; the per-field checks run over the fields of
-    its result.  Cross-check failures are collected, never silently
-    dropped; ``consistent`` is False when any were found.
+    with witness, then verifies every conclusion against the exact depths;
+    this is the only place a certificate is judged.  The fields are
+    deduplicated, and an empty list rejected, by :func:`exact_depth_multi`;
+    the per-field checks run over the fields of its result.  Cross-check
+    failures are collected, never silently dropped; ``consistent`` is False
+    when any were found.
     """
     poset = enumerate_quotient(inst)
     ranks: RankCache = {}
     depths_by_field = exact_depth_multi(poset, fields, ranks)
     depths = {f.label: v for f, v in depths_by_field.items()}
 
-    inconsistencies: list[str] = []
     certificates = counting_certificates(poset)
     findings = [c.warning for c in certificates if c.warning]
     for f, depth_f in depths_by_field.items():
-        try:
-            certificates.append(replace(check_layer_sandwich(poset, depth_f), field=f))
-        except TheoremViolationError as exc:
-            inconsistencies.append(f"{f.label}: {exc}")
-        try:
-            certificates.extend(check_rank_split(poset, f, depth_f, ranks))
-        except TheoremViolationError as exc:
-            inconsistencies.append(f"{f.label}: {exc}")
-
-    for cert in certificates:
-        inconsistencies.extend(_conclusion_violations(cert, depths))
+        certificates.append(replace(check_layer_sandwich(poset, depth_f), field=f))
+        certificates.extend(check_rank_split(poset, f, depth_f, ranks))
+    inconsistencies = [v for cert in certificates for v in _conclusion_violations(cert, depths)]
 
     sdepth_value: int | None = None
     witness: IntervalPartition | None = None

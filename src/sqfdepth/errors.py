@@ -19,7 +19,3 @@ class ValidationError(InputError):
 
 class InternalConsistencyError(RuntimeError):
     """Raised when two computations that must agree do not (a bug, not bad input)."""
-
-
-class TheoremViolationError(InternalConsistencyError):
-    """Raised when a certified identity fails on data that satisfies its hypothesis."""

@@ -11,9 +11,14 @@ land in J simply vanish.
 
 Depth is read off the scan over all square-free multidegrees: it equals
 n minus the largest homological degree carrying nonzero strand homology.
-Restricting the scan to square-free multidegrees relies on homology of such
-quotients being concentrated there; the brute-force multidegree oracle in
-the test suite validates that assumption empirically.
+No other multidegree carries homology.  The strand at a computes
+Tor_i(K, I/J)_a, and 0 -> J -> I -> I/J -> 0 gives the exact piece
+Tor_i(I)_a -> Tor_i(I/J)_a -> Tor_(i-1)(J)_a.  The Taylor resolutions of I
+and J have their basis elements in the multidegrees of lcms of
+generators, so Tor_i(I/J)_a vanishes unless a is an lcm of generators of I
+or of J; an lcm of square-free monomials is square-free.  The argument
+holds over Z, so over every field.  The brute-force multidegree oracle in
+the test suite checks the same fact on small instances.
 """
 
 from __future__ import annotations
@@ -138,13 +143,18 @@ def strand_rank(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCach
         r = rank_mod_p(strand.entries(i), field.p)
     else:
         r = strand_rank(strand, i, GF2, ranks)
-        if r < short and _homology_dim(strand, i, GF2, ranks) and _homology_dim(strand, i - 1, GF2, ranks):
+        if r < short and homology_dim(strand, i, GF2, ranks) and homology_dim(strand, i - 1, GF2, ranks):
             r = rank_bareiss(strand.entries(i))
     ranks[key] = r
     return r
 
 
-def _homology_dim(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCache) -> int:
+def homology_dim(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCache) -> int:
+    """Dimension over ``field`` of the strand's homology at chain degree i; never negative.
+
+    Raises :class:`InternalConsistencyError` when the two ranks around chain
+    degree i exceed its dimension, which d o d = 0 rules out.
+    """
     dim = len(strand.basis(i)) - strand_rank(strand, i, field, ranks) - strand_rank(strand, i + 1, field, ranks)
     if dim < 0:
         raise InternalConsistencyError(
@@ -220,7 +230,7 @@ def exact_depth_multi(
                 for i in range(bound, best[f], -1):
                     if not strand.basis(i):
                         continue
-                    if _homology_dim(strand, i, f, ranks):
+                    if homology_dim(strand, i, f, ranks):
                         best[f] = i
                         break
     for f, top in best.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from sqfdepth import (
     RATIONALS,
     InputError,
     Monomial,
+    PosetLayers,
     analyze,
     check_alternating_drop,
     check_base_drop,
@@ -20,10 +22,11 @@ from sqfdepth import (
     check_principal_gap,
     check_rank_split,
     enumerate_quotient,
+    partition_exists,
     random_instance,
     validate_pair,
 )
-from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS
+from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS, INEQUALITY_HOLDS, Conclusion
 from sqfdepth.generate import default_params
 
 from oracles import exact_depth, hypothesis_violating_instances, rho, rp2_cone_instance
@@ -153,6 +156,26 @@ def test_layer_sandwich_golden_cases():
     assert not check_layer_sandwich(enumerate_quotient(low), exact_depth(low)).fired
 
 
+def test_layer_sandwich_fails_exactly_where_a_drop_fires():
+    # Synthetic layer counts: rho_d in 1..4 (d is the least degree present),
+    # rho_{d+1} and rho_{d+2} in 0..4 where that degree is at most n, else 0.
+    # Only the counts matter to the checkers, so the layers hold placeholders.
+    cases = 0
+    for n in range(1, 6):
+        for d in range(1, n + 1):
+            inst = validate_pair(n, [Monomial(n, (1 << d) - 1)], [])
+            above = [range(5) if d + k <= n else (0,) for k in (1, 2)]
+            for counts in itertools.product(range(1, 5), *above):
+                layers = (tuple((0,) * c for c in counts) + ((),) * n)[: n - d + 1]
+                poset = PosetLayers(inst, layers)
+                drops = [check_base_drop(poset)] + [c for c in check_alternating_drop(poset) if c.t == d + 1]
+                fails = any(c.fired for c in drops)
+                expected = Conclusion(DEPTH_AT_MOST, d + 1) if fails else Conclusion(INEQUALITY_HOLDS)
+                assert check_layer_sandwich(poset, d + 2).conclusions == (expected,), (n, d, counts)
+                cases += 1
+    assert cases == 700
+
+
 def test_rank_split_golden_cases():
     inst = paper_instance()
     certs = check_rank_split(enumerate_quotient(inst), RATIONALS, exact_depth(inst))
@@ -230,6 +253,19 @@ def test_soundness_holds_without_degree_hypothesis():
             assert not lower.fired
             assert any("lower bound" in f for f in report.findings)
     assert saw_flag_false >= 30
+
+
+def test_alternating_drop_is_a_stanley_counting_obstruction():
+    # alpha_{t+1} = rho_{t+1} - alpha_t is the top forced interval count for
+    # target t + 1, so a firing drop makes it negative and the target infeasible.
+    fired = 0
+    for inst in fuzz_instances() + hypothesis_violating_instances():
+        poset = enumerate_quotient(inst)
+        for cert in check_alternating_drop(poset):
+            if cert.fired and cert.t < inst.n:
+                assert partition_exists(poset, cert.t + 1) is None, (inst, cert.t)
+                fired += 1
+    assert fired >= 100
 
 
 def test_analyze_when_poset_sits_in_one_top_degree():

@@ -44,8 +44,8 @@ from sqfdepth import (
     validate_pair,
     verify_partition,
 )
-from sqfdepth.certificates import DEPTH_EQUALS
-from sqfdepth.cli import main
+from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS
+from sqfdepth.cli import main, report_to_json
 from sqfdepth.generate import default_params
 from sqfdepth.stanley import Interval, IntervalPartition
 
@@ -263,7 +263,7 @@ def test_scan_cross_checks_every_fired_certificate(tmp_path, capsys, monkeypatch
     def wrong(poset):
         n = poset.instance.n
         calls.append(n)
-        return replace(original(poset), fired=True, conclusions=(Conclusion(DEPTH_EQUALS, n + 1),))
+        return replace(original(poset), conclusions=(Conclusion(DEPTH_EQUALS, n + 1),))
 
     _patch_everywhere(monkeypatch, original, wrong)
     with pytest.raises(InternalConsistencyError, match=r"^scan record 0: certificate base_drop"):
@@ -273,6 +273,37 @@ def test_scan_cross_checks_every_fired_certificate(tmp_path, capsys, monkeypatch
     assert code == 3
     assert out == ""
     assert err.startswith("internal inconsistency: scan record 0: certificate base_drop")
+
+
+def test_contradicted_certificate_stays_in_the_report(tmp_path, capsys, monkeypatch):
+    # Zero every full-strand rank the depth scan cached.  The rank split then
+    # sees a surplus at each offset, and the depth bounds it concludes that the
+    # exact depth contradicts are reported like any other inconsistency.
+    original = certificates_module.exact_depth_multi
+
+    def corrupt(poset, fields, ranks):
+        depths = original(poset, fields, ranks)
+        full = (1 << poset.instance.n) - 1
+        for key in ranks:
+            if key[0] == full:
+                ranks[key] = 0
+        return depths
+
+    monkeypatch.setattr(certificates_module, "exact_depth_multi", corrupt)
+    report = certificates_module.analyze(parse_instance(PAPER))
+    assert not report.consistent
+    assert report.depth == {"q": 3, "gf:2": 3}
+    for label in ("q", "gf:2"):
+        splits = [c for c in report.certificates if c.kind == "rank_split" and c.field.label == label]
+        assert [(c.t, c.conclusions) for c in splits] == [(t, (Conclusion(DEPTH_AT_MOST, t),)) for t in (1, 2, 3)]
+    assert report.inconsistencies == [
+        f"certificate rank_split(t={t}) concluded depth_at_most({t}) but depth over {label} is 3"
+        for label in ("q", "gf:2")
+        for t in (1, 2)
+    ]
+    code, out, err = run_cli(tmp_path, capsys, "analyze", instance_text=PAPER)
+    assert (code, err) == (3, "")
+    assert json.loads(out) == json.loads(json.dumps(report_to_json(report)))
 
 
 def test_cli_scan_different_seed_differs(tmp_path, capsys):

@@ -74,3 +74,10 @@ def test_scan_builds_on_analyze_alone():
             names.update(part for alias in node.names for part in alias.name.split("."))
     stages = {"strands", "stanley", "poset", "enumerate_quotient", "exact_depth_multi", "stanley_depth"}
     assert sorted(name for name in names if name in stages or name.startswith("check_")) == []
+
+
+def test_certificates_only_conclude():
+    # Checkers return conclusions and analyze alone judges them; a raise in a
+    # checker would be a second judge whose verdict never reaches the report.
+    tree = ast.parse((SRC / "certificates.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)] == []
