@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError
-from .monomials import QuotientInstance, minimalize, validate_masks
+from .monomials import QuotientInstance, minimalize, validate_pair
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,8 @@ class GeneratorParams:
     n: int
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise InputError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise InputError(f"need n >= 1, got {self.n}")
 
@@ -54,4 +56,4 @@ def random_instance(params: GeneratorParams, rng: random.Random) -> QuotientInst
         outside = [j for j in variables if not g >> (j - 1) & 1]
         gens_j.append(g | sum(1 << (j - 1) for j in rng.sample(outside, deg - g.bit_count())))
 
-    return validate_masks(n, gens_i, gens_j)
+    return validate_pair(n, gens_i, gens_j)

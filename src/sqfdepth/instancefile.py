@@ -21,7 +21,7 @@ from .monomials import Monomial, QuotientInstance, support_of, validate_pair
 MAX_VARIABLES = 20
 
 
-def _parse_generators(n: int, raw: Any, key: str) -> list[Monomial]:
+def _parse_generators(n: int, raw: Any, key: str) -> list[int]:
     if not isinstance(raw, list):
         raise ValidationError("expected a list of generator supports", location=key)
     gens = []
@@ -30,7 +30,7 @@ def _parse_generators(n: int, raw: Any, key: str) -> list[Monomial]:
         if not isinstance(support, list):
             raise ValidationError("expected a list of variable indices", location=loc)
         try:
-            gens.append(Monomial.from_support(n, support))
+            gens.append(Monomial.from_support(n, support).mask)
         except InputError as exc:
             raise ValidationError(str(exc), location=loc) from None
     return gens

@@ -46,6 +46,8 @@ class FieldSpec:
     def __post_init__(self):
         if self.p is None:
             return
+        if isinstance(self.p, bool) or not isinstance(self.p, int):
+            raise InputError(f"field size must be an int, got {self.p!r}")
         if self.p >= _PRIME_LIMIT:
             raise InputError(f"field size {self.p} is not below the limit 2^31 = {_PRIME_LIMIT}")
         if not _is_prime(self.p):

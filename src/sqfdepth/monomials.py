@@ -10,14 +10,20 @@ Canonical order is (degree, support tuple), given on masks by
 layouts and partition witnesses bit-for-bit.  A :class:`QuotientInstance`
 holds its minimal generators as masks in that order.  :class:`Monomial`
 pairs a mask with its ambient n; it is the type of data entering
-(:meth:`Monomial.from_support`, :func:`validate_pair`) and leaving (witness
-intervals, strand labels, error messages).
+(:meth:`Monomial.from_support`) and leaving (witness intervals, strand
+labels, error messages).
+
+Ideal membership is decided here alone: :func:`minimalize` reduces
+generator masks, :func:`validate_pair` is the one entry point that turns
+them into an instance, and :func:`ideal_supports` is the one walk over the
+supports of a degree that lie in one ideal and outside another.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ValidationError
 
@@ -108,32 +114,20 @@ class QuotientInstance:
     hypothesis_flag: bool
 
 
-def _masks(n: int, gens: Iterable[Monomial]) -> list[int]:
-    masks = []
-    for g in gens:
-        if g.n != n:
-            raise InputError(f"generator {g} has ambient n={g.n}, expected {n}")
-        masks.append(g.mask)
-    return masks
+def validate_pair(n: int, gens_i: Iterable[int], gens_j: Iterable[int]) -> QuotientInstance:
+    """Minimalize two lists of generator support masks and build a validated quotient instance.
 
-
-def validate_pair(n: int, gens_i: Iterable[Monomial], gens_j: Iterable[Monomial]) -> QuotientInstance:
-    """Minimalize both generator lists and build a validated quotient instance.
-
-    Rejects generators over another ambient n, then as :func:`validate_masks`.
+    Rejects: n that is not an int of at least 1, a generator that is not an
+    int mask below 2^n (bools included), J not contained in I (naming the
+    offending generator), J equal to I (empty quotient), and instances where
+    the constant monomial lies in the quotient (d would be 0).
     """
-    if n < 1:
-        raise ValidationError(f"need at least one variable, got n={n}")
-    return validate_masks(n, _masks(n, gens_i), _masks(n, gens_j))
-
-
-def validate_masks(n: int, gens_i: Iterable[int], gens_j: Iterable[int]) -> QuotientInstance:
-    """:func:`validate_pair` on support masks below 2^n, for n >= 1.
-
-    Rejects: J not contained in I (naming the offending generator), J equal
-    to I (empty quotient), and instances where the constant monomial lies in
-    the quotient (d would be 0).
-    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValidationError(f"need at least one variable, got n={n!r}")
+    gens_i, gens_j = list(gens_i), list(gens_j)
+    for g in gens_i + gens_j:
+        if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < 1 << n:
+            raise ValidationError(f"generator {g!r} is not a support mask below 2^{n}")
     gens_i = minimalize(gens_i)
     gens_j = minimalize(gens_j)
     for g in gens_j:
@@ -147,3 +141,18 @@ def validate_masks(n: int, gens_i: Iterable[int], gens_j: Iterable[int]) -> Quot
         raise ValidationError("the constant monomial lies in I \\ J; the quotient is not a proper module")
     flag = all(g.bit_count() >= d + 1 for g in gens_j)
     return QuotientInstance(n=n, gens_i=gens_i, gens_j=gens_j, d=d, hypothesis_flag=flag)
+
+
+def ideal_supports(n: int, t: int, gens_i: Sequence[int], gens_j: Sequence[int]) -> Iterator[int]:
+    """The degree-t support masks in the ideal of ``gens_i`` and outside that of ``gens_j``.
+
+    Walks all t-subsets of {1..n} in lexicographic order as bitmasks, which is
+    canonical order within a degree, and keeps those that some generator of
+    ``gens_i`` divides (g & ~mask == 0) and no generator of ``gens_j`` does; at
+    desk scale this is at most 2^n subsets and needs no duplicate handling.
+    """
+    bits = [1 << j for j in range(n)]
+    for combo in itertools.combinations(bits, t):
+        mask = sum(combo)
+        if any(g & ~mask == 0 for g in gens_i) and not any(g & ~mask == 0 for g in gens_j):
+            yield mask

@@ -2,17 +2,17 @@
 
 The monomials of I \\ J form a finite poset under divisibility.  Everything
 downstream (counting, strand bases, interval partitions) consumes the same
-stratified enumeration.  It is not cached: each computation enumerates the
+stratified enumeration.  Membership is decided by :func:`ideal_supports` in
+``monomials``; this module only stacks its layers.  The enumeration is not cached: each computation enumerates the
 poset once and passes the resulting :class:`PosetLayers`, which carries its
 instance, to every function it calls.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .monomials import QuotientInstance
+from .monomials import QuotientInstance, ideal_supports
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,7 @@ class PosetLayers:
 def enumerate_quotient(inst: QuotientInstance) -> PosetLayers:
     """Exactly enumerate {m square-free : m in I, m not in J}, stratified by degree.
 
-    Walks all supports of each size in lexicographic order as bitmasks and
-    keeps those that some generator of I divides (g & ~mask == 0) and no
-    generator of J does; at desk scale this is at most 2^n subsets and needs
-    no duplicate handling.
+    Each layer is :func:`ideal_supports` of its degree, already in canonical order.
     """
-    n, d = inst.n, inst.d
-    gens_i, gens_j = inst.gens_i, inst.gens_j
-    bits = [1 << j for j in range(n)]
-    rows = []
-    for t in range(d, n + 1):
-        row = []
-        for combo in itertools.combinations(bits, t):
-            mask = sum(combo)
-            if any(g & ~mask == 0 for g in gens_i) and not any(g & ~mask == 0 for g in gens_j):
-                row.append(mask)
-        rows.append(tuple(row))
-    return PosetLayers(inst, tuple(rows))
+    rows = (ideal_supports(inst.n, t, inst.gens_i, inst.gens_j) for t in range(inst.d, inst.n + 1))
+    return PosetLayers(inst, tuple(map(tuple, rows)))

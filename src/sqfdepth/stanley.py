@@ -89,9 +89,6 @@ class PartitionCheck:
     ok: bool
     reason: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_partition(inst: QuotientInstance, partition: IntervalPartition) -> PartitionCheck:
     """Re-check a partition from scratch: interval validity, disjointness, coverage.

@@ -24,10 +24,11 @@ the test suite checks the same fact on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InputError, InternalConsistencyError
 from .linalg import GF2, FieldSpec, rank_bareiss, rank_gf2, rank_mod_p
+from .monomials import ideal_supports
 from .poset import PosetLayers
 
 
@@ -163,22 +164,6 @@ def homology_dim(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCac
     return dim
 
 
-def _masks_of_size(n: int, k: int) -> Iterator[int]:
-    """The n-bit masks with k >= 1 bits set, in increasing order.
-
-    Each mask is the least larger one with the same bit count (Gosper's
-    hack): add the lowest set bit to carry the lowest run of ones one place
-    up, then refill the bits the carry cleared at the bottom.
-    """
-    m = (1 << k) - 1
-    limit = 1 << n
-    while m < limit:
-        yield m
-        low = m & -m
-        ripple = m + low
-        m = ripple | (((m ^ ripple) >> 2) // low)
-
-
 def exact_depth_multi(
     poset: PosetLayers,
     fields: Sequence[FieldSpec],
@@ -190,11 +175,12 @@ def exact_depth_multi(
     chain degree i}.  A strand at multidegree a has chain degrees at most
     deg(a) - d, which prunes the scan: once every field's running maximum
     reaches that bound, the remaining (smaller) multidegrees cannot raise it.
-    Only multidegrees in I carry a strand, and membership is read off the
-    generator masks; a strand is built for those alone.
+    Only multidegrees in I carry a strand, so a strand is built for those
+    alone.
 
-    Multidegrees are visited by decreasing size and, within a size, by
-    increasing mask; each size's masks are generated as the scan reaches it.
+    Multidegrees are visited by decreasing size and, within a size, in
+    canonical order; each size's supports in I come from
+    :func:`ideal_supports` as the scan reaches it.
     Within a strand only the chain degrees above the field's running maximum
     can matter; they are visited from the top down and the first one with
     nonzero homology ends the strand for that field.  Over Q a degree that is
@@ -214,15 +200,12 @@ def exact_depth_multi(
         ranks = {}
     inst = poset.instance
     n, d = inst.n, inst.d
-    gens_i = inst.gens_i
     best = {f: -1 for f in field_list}
     for size in range(n, 0, -1):
         bound = size - d
         if bound <= min(best.values()):
             break
-        for mask in _masks_of_size(n, size):
-            if not any(g & ~mask == 0 for g in gens_i):
-                continue
+        for mask in ideal_supports(n, size, inst.gens_i, ()):
             strand = build_strand(poset, mask)
             if strand.is_empty:
                 continue

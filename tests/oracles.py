@@ -7,10 +7,11 @@ oracle enumerates every interval partition outright.  The unscreened depth
 scan is the reference route for the package's screened scan, the
 untruncated exact-cover search the reference route for its Stanley search,
 and Gaussian elimination on Fractions the reference route for Bareiss.
-The small helpers at the top (per-instance rho/alpha/elements, supports of
-masks, interval members, single-field depth, the reference membership test
-on generator masks, divisibility of monomials, the
-instance dump, the field GF(3), the checked SignMatrix with its ranks and
+The small helpers at the top (monomials and masks from indices, the paper's
+instances, patching a function throughout the package, per-instance
+rho/alpha/elements, supports of masks, interval members, single-field depth,
+the reference membership test on generator masks, divisibility of monomials,
+the instance dump, the field GF(3), the checked SignMatrix with its ranks and
 products, a strand's boundary as a SignMatrix, boundary signs) are
 conveniences that only the tests use; each enumerates its own poset.  The
 package's core works on support bitmasks; these helpers turn them into
@@ -19,7 +20,9 @@ monomials where a test compares monomials.
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +30,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator, Sequence
 
+import sqfdepth
 from sqfdepth import (
     GF2,
     RATIONALS,
@@ -50,6 +54,47 @@ from sqfdepth.strands import strand_rank
 
 
 GF3 = FieldSpec(3)
+
+
+def mono(n: int, *indices: int) -> Monomial:
+    """The monomial x_i over i in ``indices``, in n variables."""
+    return Monomial.from_support(n, indices)
+
+
+def mask(n: int, *indices: int) -> int:
+    """The support mask of x_i over i in ``indices``, each checked to lie in 1..n."""
+    return Monomial.from_support(n, indices).mask
+
+
+def paper_instance() -> QuotientInstance:
+    """The paper's example I = (x1, x3), J = (x1*x4) in four variables."""
+    return validate_pair(4, [mask(4, 1), mask(4, 3)], [mask(4, 1, 4)])
+
+
+def paper_instance_jprime() -> QuotientInstance:
+    """The paper's example with J' = (x1*x4, x2*x3*x4) in place of J."""
+    return validate_pair(4, [mask(4, 1), mask(4, 3)], [mask(4, 1, 4), mask(4, 2, 3, 4)])
+
+
+def pure_powers_instance() -> QuotientInstance:
+    """(x1, x2, x3) / (x1*x2, x1*x3, x2*x3)."""
+    return validate_pair(3, [mask(3, 1), mask(3, 2), mask(3, 3)], [mask(3, 1, 2), mask(3, 1, 3), mask(3, 2, 3)])
+
+
+def patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace a function wherever the package or one of its modules holds it.
+
+    Replacing by identity in every module namespace catches exactly the calls
+    made through module globals.
+    """
+    modules = [sqfdepth] + [
+        importlib.import_module(f"sqfdepth.{info.name}")
+        for info in pkgutil.iter_modules(sqfdepth.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
 
 
 def rho(inst: QuotientInstance, t: int) -> int:
@@ -526,7 +571,7 @@ def hypothesis_violating_instances(count=250, seed=404) -> list[QuotientInstance
                 extra = rng.sample(outside, rng.randint(1, len(outside)))
                 gens_j.append(Monomial.from_support(n, tuple(g.support) + tuple(extra)))
         try:
-            inst = validate_pair(n, gens_i, gens_j)
+            inst = validate_pair(n, [g.mask for g in gens_i], [g.mask for g in gens_j])
         except ValidationError:
             continue
         out.append(inst)
@@ -550,7 +595,5 @@ def rp2_cone_instance() -> QuotientInstance:
     GF(2) screen flags a degree that Bareiss must clear.
     """
     faces = set(RP2_FACETS)
-    gens_j = [
-        Monomial.from_support(7, t + (7,)) for t in combinations(range(1, 7), 3) if t not in faces
-    ]
-    return validate_pair(7, [Monomial.from_support(7, [7])], gens_j)
+    gens_j = [mask(7, *t, 7) for t in combinations(range(1, 7), 3) if t not in faces]
+    return validate_pair(7, [mask(7, 7)], gens_j)

@@ -19,7 +19,6 @@ from sqfdepth import (
     GF2,
     RANK_SPLIT,
     RATIONALS,
-    Monomial,
     analyze,
     conjecture_scan,
     enumerate_quotient,
@@ -40,6 +39,7 @@ from oracles import (
     brute_multidegree_homology,
     brute_stanley_depth,
     compose_is_zero,
+    mask,
     poset_elements,
     rank_fraction_gauss,
     rho,
@@ -52,10 +52,6 @@ PAPER_JPRIME = '{"n":4,"I":[[1],[3]],"J":[[1,4],[2,3,4]]}'
 SWEEP_PER_N = 500
 SWEEP_NS = (4, 5, 6, 7)
 FIELD_LABELS = ("q", "gf:2", "gf:3")
-
-
-def mono(n, *indices):
-    return Monomial.from_support(n, indices)
 
 
 @dataclass
@@ -238,9 +234,9 @@ def _principal_instances(count: int, seed: int):
         pairs = list(combinations(kept, 2))
         q = rng.randint(0, min(len(pairs), s - 2))
         keep_pairs = set(rng.sample(pairs, q))
-        gens_j = [mono(n, *f_support, e) for e in excluded]
-        gens_j.extend(mono(n, *f_support, i, j) for (i, j) in pairs if (i, j) not in keep_pairs)
-        inst = validate_pair(n, [mono(n, *f_support)], gens_j)
+        gens_j = [mask(n, *f_support, e) for e in excluded]
+        gens_j.extend(mask(n, *f_support, i, j) for (i, j) in pairs if (i, j) not in keep_pairs)
+        inst = validate_pair(n, [mask(n, *f_support)], gens_j)
         assert rho(inst, d + 1) == s and rho(inst, d + 2) == q
         out.append(inst)
     return out

@@ -12,7 +12,6 @@ from sqfdepth import (
     GF2,
     RATIONALS,
     InputError,
-    Monomial,
     PosetLayers,
     analyze,
     check_alternating_drop,
@@ -29,27 +28,16 @@ from sqfdepth import (
 from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS, INEQUALITY_HOLDS, Conclusion
 from sqfdepth.generate import default_params
 
-from oracles import exact_depth, hypothesis_violating_instances, rho, rp2_cone_instance
-
-
-def mono(n, *indices):
-    return Monomial.from_support(n, indices)
-
-
-def paper_instance():
-    return validate_pair(4, [mono(4, 1), mono(4, 3)], [mono(4, 1, 4)])
-
-
-def paper_instance_jprime():
-    return validate_pair(4, [mono(4, 1), mono(4, 3)], [mono(4, 1, 4), mono(4, 2, 3, 4)])
-
-
-def pure_powers_instance():
-    return validate_pair(
-        3,
-        [mono(3, 1), mono(3, 2), mono(3, 3)],
-        [mono(3, 1, 2), mono(3, 1, 3), mono(3, 2, 3)],
-    )
+from oracles import (
+    exact_depth,
+    hypothesis_violating_instances,
+    mask,
+    paper_instance,
+    paper_instance_jprime,
+    pure_powers_instance,
+    rho,
+    rp2_cone_instance,
+)
 
 
 def fuzz_instances(n_values=(3, 4, 5), per_n=20, seed=77):
@@ -69,7 +57,7 @@ def test_lower_bound_fires_under_hypothesis():
 
 
 def test_lower_bound_warns_when_hypothesis_fails():
-    inst = validate_pair(2, [mono(2, 1), mono(2, 2)], [mono(2, 2)])
+    inst = validate_pair(2, [mask(2, 1), mask(2, 2)], [mask(2, 2)])
     cert = check_lower_bound(inst)
     assert not cert.fired
     assert cert.warning
@@ -82,7 +70,7 @@ def test_base_drop_golden_cases():
 
     assert not check_base_drop(enumerate_quotient(paper_instance())).fired
 
-    one_var = validate_pair(1, [mono(1, 1)], [])
+    one_var = validate_pair(1, [mask(1, 1)], [])
     cert = check_base_drop(enumerate_quotient(one_var))
     assert cert.fired
     assert exact_depth(one_var) == 1
@@ -112,7 +100,7 @@ def test_alternating_drop_at_t_d_matches_base_drop():
 
 def test_principal_gap_golden_cases():
     inst = validate_pair(
-        4, [mono(4, 1)], [mono(4, 1, 2, 3), mono(4, 1, 2, 4), mono(4, 1, 3, 4)]
+        4, [mask(4, 1)], [mask(4, 1, 2, 3), mask(4, 1, 2, 4), mask(4, 1, 3, 4)]
     )
     cert = check_principal_gap(enumerate_quotient(inst))
     assert cert.fired
@@ -120,7 +108,7 @@ def test_principal_gap_golden_cases():
     assert cert.conclusions[0].kind == DEPTH_EQUALS and cert.conclusions[0].value == 2
     assert exact_depth(inst) == 2
 
-    thin = validate_pair(4, [mono(4, 1)], [mono(4, 1, 3), mono(4, 1, 4)])
+    thin = validate_pair(4, [mask(4, 1)], [mask(4, 1, 3), mask(4, 1, 4)])
     assert not check_principal_gap(enumerate_quotient(thin)).fired  # s = 1 <= q + 1
 
     assert not check_principal_gap(enumerate_quotient(paper_instance())).fired  # I not principal
@@ -130,8 +118,8 @@ def test_principal_gap_with_positive_q():
     # keep one degree-(d+2) monomial alive: s = 4, q = 1 at n = 5
     inst = validate_pair(
         5,
-        [mono(5, 1)],
-        [mono(5, 1, 2, 4), mono(5, 1, 2, 5), mono(5, 1, 3, 4), mono(5, 1, 3, 5), mono(5, 1, 4, 5)],
+        [mask(5, 1)],
+        [mask(5, 1, 2, 4), mask(5, 1, 2, 5), mask(5, 1, 3, 4), mask(5, 1, 3, 5), mask(5, 1, 4, 5)],
     )
     cert = check_principal_gap(enumerate_quotient(inst))
     assert cert.fired
@@ -141,7 +129,7 @@ def test_principal_gap_with_positive_q():
 
 
 def test_layer_sandwich_golden_cases():
-    free = validate_pair(3, [mono(3, 1)], [])
+    free = validate_pair(3, [mask(3, 1)], [])
     depth = exact_depth(free)
     assert depth == 3
     cert = check_layer_sandwich(enumerate_quotient(free), depth)
@@ -163,7 +151,7 @@ def test_layer_sandwich_fails_exactly_where_a_drop_fires():
     cases = 0
     for n in range(1, 6):
         for d in range(1, n + 1):
-            inst = validate_pair(n, [Monomial(n, (1 << d) - 1)], [])
+            inst = validate_pair(n, [(1 << d) - 1], [])
             above = [range(5) if d + k <= n else (0,) for k in (1, 2)]
             for counts in itertools.product(range(1, 5), *above):
                 layers = (tuple((0,) * c for c in counts) + ((),) * n)[: n - d + 1]
@@ -270,7 +258,7 @@ def test_alternating_drop_is_a_stanley_counting_obstruction():
 
 def test_analyze_when_poset_sits_in_one_top_degree():
     # d = n leaves no room for rank-split offsets at all
-    inst = validate_pair(2, [mono(2, 1, 2)], [])
+    inst = validate_pair(2, [mask(2, 1, 2)], [])
     report = analyze(inst, fields=(RATIONALS, GF2))
     assert report.consistent
     assert report.depth == {"q": 2, "gf:2": 2}

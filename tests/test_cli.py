@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib
 import io
 import itertools
 import json
-import pkgutil
 import random
 import time
 from dataclasses import replace
@@ -16,7 +14,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import sqfdepth
 import sqfdepth.certificates as certificates_module
 import sqfdepth.poset as poset_module
 from sqfdepth import (
@@ -41,7 +38,6 @@ from sqfdepth import (
     partition_exists,
     random_instance,
     stanley_depth,
-    validate_pair,
     verify_partition,
 )
 from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS
@@ -49,14 +45,10 @@ from sqfdepth.cli import main, report_to_json
 from sqfdepth.generate import default_params
 from sqfdepth.stanley import Interval, IntervalPartition
 
-from oracles import GF3, serialize_instance
+from oracles import GF3, hypothesis_violating_instances, mono, patch_everywhere, rp2_cone_instance, serialize_instance
 
 PAPER = '{"n":4,"I":[[1],[3]],"J":[[1,4]]}'
 PAPER_JPRIME = '{"n":4,"I":[[1],[3]],"J":[[1,4],[2,3,4]]}'
-
-
-def mono(n, *indices):
-    return Monomial.from_support(n, indices)
 
 
 def test_parse_instance_paper():
@@ -255,6 +247,42 @@ def test_cli_scan_output_is_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# Invalid documents: J outside I, an index out of range, a duplicate index, n = 0, J = I.
+INVALID_DOCUMENTS = (
+    '{"n":4,"I":[[1],[3]],"J":[[2,4]]}',
+    '{"n":3,"I":[[1],[4]],"J":[]}',
+    '{"n":3,"I":[[1],[2,2]],"J":[]}',
+    '{"n":0,"I":[[1]],"J":[]}',
+    '{"n":3,"I":[[1],[2,3]],"J":[[2,3],[1]]}',
+)
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    # Every instance command's exit code, stdout and stderr are fixed by its
+    # input; one digest per command pins them across changes to how they are
+    # computed.
+    texts = [PAPER, PAPER_JPRIME, serialize_instance(rp2_cone_instance())]
+    texts += [serialize_instance(inst) for inst in hypothesis_violating_instances()[:60]]
+    texts += INVALID_DOCUMENTS
+    pinned = {
+        ("analyze",): "248f7ba2451c49097842275d169845bcfb9cde1a126b90cfda2c1c9bbabf042d",
+        ("analyze", "--field", "q", "--field", "gf:2", "--field", "gf:3"):
+            "af3d8726fca3cf22274faab90e5aea001e56e79a00a58b7fdd73450984326f01",
+        ("--pretty", "analyze"): "d87f96ba53eafd2400a086298ce527389369e93003240b635518935a16f27703",
+        ("bounds",): "d3e4f97adf7dbe906101fcc0309e3a771ad4e3a79847d5bb3a97dc7d9e60a782",
+        ("depth", "--field", "q", "--field", "gf:2", "--field", "gf:3"):
+            "f526324f6fa0fb2de75ad2883c5778efb71e157ac482d1feb18dccc1835704ef",
+        ("sdepth",): "b8696f5d6d975c957280b8458cfc36de328b6052e9c23b1bd27d4375e7a89c91",
+        ("strands",): "0153e0f4b37383dfb1f7b67bee0e208bd2bd7ded17667a770d45dd092d6cd50d",
+    }
+    for argv, digest in pinned.items():
+        h = hashlib.sha256()
+        for text in texts:
+            code, out, err = run_cli(tmp_path, capsys, *argv, instance_text=text)
+            h.update(json.dumps([code, out, err]).encode())
+        assert h.hexdigest() == digest, argv
+
+
 def test_scan_cross_checks_every_fired_certificate(tmp_path, capsys, monkeypatch):
     # A base-drop checker that always fires depth = n + 1, which no depth meets.
     original = certificates_module.check_base_drop
@@ -265,7 +293,7 @@ def test_scan_cross_checks_every_fired_certificate(tmp_path, capsys, monkeypatch
         calls.append(n)
         return replace(original(poset), conclusions=(Conclusion(DEPTH_EQUALS, n + 1),))
 
-    _patch_everywhere(monkeypatch, original, wrong)
+    patch_everywhere(monkeypatch, original, wrong)
     with pytest.raises(InternalConsistencyError, match=r"^scan record 0: certificate base_drop"):
         conjecture_scan(default_params(4), count=3, seed=1)
     assert calls == [4]
@@ -356,18 +384,6 @@ def test_cli_sdepth_band_7_2_5(tmp_path, capsys):
     assert json.loads(out)["sdepth"] == 3
 
 
-def _patch_everywhere(monkeypatch, original, replacement) -> None:
-    """Replace a function wherever the package or one of its modules holds it."""
-    modules = [sqfdepth] + [
-        importlib.import_module(f"sqfdepth.{info.name}")
-        for info in pkgutil.iter_modules(sqfdepth.__path__)
-        if info.name != "__main__"
-    ]
-    for module in modules:
-        if getattr(module, original.__name__, None) is original:
-            monkeypatch.setattr(module, original.__name__, replacement)
-
-
 def _spy_on_enumerate(monkeypatch) -> list[int]:
     """Replace enumerate_quotient wherever a package module holds it; return the call log."""
     calls: list[int] = []
@@ -377,7 +393,7 @@ def _spy_on_enumerate(monkeypatch) -> list[int]:
         calls.append(inst.n)
         return original(inst)
 
-    _patch_everywhere(monkeypatch, original, spy)
+    patch_everywhere(monkeypatch, original, spy)
     return calls
 
 

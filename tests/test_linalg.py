@@ -23,6 +23,12 @@ def test_field_spec_labels_and_parse():
         FieldSpec.parse("r")
 
 
+@pytest.mark.parametrize("p", [3.0, 2.0, "3", True, False])
+def test_field_spec_rejects_sizes_that_are_not_ints(p):
+    with pytest.raises(InputError, match="field size must be an int"):
+        FieldSpec(p)
+
+
 def test_sign_matrix_validation():
     with pytest.raises(InputError):
         from_rows([[2, 0]])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import sqfdepth
@@ -81,3 +83,24 @@ def test_certificates_only_conclude():
     # checker would be a second judge whose verdict never reaches the report.
     tree = ast.parse((SRC / "certificates.py").read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)] == []
+
+
+def test_benchmark_coverage_spans_name_traced_functions(monkeypatch):
+    # The benchmark's traced runs require a span for each name in REQUIRED_SPANS,
+    # and its tracer wraps exactly the public functions defined in each module;
+    # a renamed or moved function would turn a traced run incorrect unnoticed.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ on the path
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up there
+    spec.loader.exec_module(run)
+    names = sorted({name for spans in run.REQUIRED_SPANS.values() for name in spans})
+    assert names
+    untraced = []
+    for name in names:
+        mod, _, func = name.partition(".")
+        module = importlib.import_module(f"sqfdepth.{mod}")
+        fn = getattr(module, func, None)
+        if func.startswith("_") or isinstance(fn, type) or not callable(fn) or fn.__module__ != module.__name__:
+            untraced.append(name)
+    assert untraced == []

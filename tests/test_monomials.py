@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sqfdepth import (
+    GeneratorParams,
     InputError,
     Monomial,
     ValidationError,
@@ -20,13 +22,9 @@ from sqfdepth import (
     random_instance,
     validate_pair,
 )
-from sqfdepth.monomials import support_of
+from sqfdepth.monomials import ideal_supports, support_of
 
-from oracles import divides, hypothesis_violating_instances, ideal_contains, rp2_cone_instance
-
-
-def mono(n, *indices):
-    return Monomial.from_support(n, indices)
+from oracles import divides, hypothesis_violating_instances, ideal_contains, mask, mono, rp2_cone_instance
 
 
 def test_divides_examples():
@@ -79,18 +77,18 @@ def test_ideal_contains_examples():
 
 
 def test_validate_pair_paper_instance():
-    inst = validate_pair(4, [mono(4, 1), mono(4, 3)], [mono(4, 1, 4)])
+    inst = validate_pair(4, [mask(4, 1), mask(4, 3)], [mask(4, 1, 4)])
     assert inst.d == 1
     assert inst.hypothesis_flag
 
 
 def test_validate_pair_rejects_j_outside_i():
     with pytest.raises(ValidationError, match="x2\\*x4"):
-        validate_pair(4, [mono(4, 1), mono(4, 3)], [mono(4, 2, 4)])
+        validate_pair(4, [mask(4, 1), mask(4, 3)], [mask(4, 2, 4)])
 
 
 def test_validate_pair_zero_j():
-    inst = validate_pair(3, [mono(3, 1, 2)], [])
+    inst = validate_pair(3, [mask(3, 1, 2)], [])
     assert inst.d == 2
     assert inst.hypothesis_flag
     assert inst.gens_j == ()
@@ -98,23 +96,65 @@ def test_validate_pair_zero_j():
 
 def test_validate_pair_rejects_equal_ideals():
     with pytest.raises(ValidationError):
-        validate_pair(3, [mono(3, 1)], [mono(3, 1)])
+        validate_pair(3, [mask(3, 1)], [mask(3, 1)])
     with pytest.raises(ValidationError):
         validate_pair(3, [], [])
 
 
-def test_validate_pair_rejects_another_ambient_n():
-    with pytest.raises(InputError, match="ambient n=4, expected 3"):
-        validate_pair(3, [mono(3, 1)], [mono(4, 1, 2)])
+@pytest.mark.parametrize("gens_i, gens_j", [
+    ([0b001], [0b1011]),
+    ([0b001], [-1]),
+    ([1.0], [0b011]),
+    ([True], [0b011]),
+    ([0b001], [mono(3, 1, 2)]),
+    (["1"], []),
+    ([None], []),
+])
+def test_validate_pair_rejects_generators_that_are_not_masks(gens_i, gens_j):
+    with pytest.raises(ValidationError, match="is not a support mask below 2\\^3"):
+        validate_pair(3, gens_i, gens_j)
+
+
+@pytest.mark.parametrize("n", [0, -2, 3.0, True, "3", None])
+def test_validate_pair_rejects_n_that_is_not_a_positive_int(n):
+    with pytest.raises(ValidationError, match="need at least one variable"):
+        validate_pair(n, [0b001], [])
+
+
+@pytest.mark.parametrize("n, message", [
+    (2.5, "n must be an int, got 2.5"),
+    (3.0, "n must be an int, got 3.0"),
+    (True, "n must be an int, got True"),
+    ("3", "n must be an int, got '3'"),
+    (0, "need n >= 1, got 0"),
+])
+def test_generator_params_reject_n_that_is_not_a_positive_int(n, message):
+    with pytest.raises(InputError, match=message):
+        GeneratorParams(n)
 
 
 def test_validate_pair_rejects_unit_ideal():
     with pytest.raises(ValidationError):
-        validate_pair(2, [Monomial(2, 0)], [mono(2, 1)])
+        validate_pair(2, [0], [mask(2, 1)])
+
+
+def test_ideal_supports_match_a_filter_of_all_subsets():
+    # Seeded generator lists, neither minimal nor nested, and an empty J each time.
+    rng = random.Random(12)
+    for n in range(1, 9):
+        for _ in range(12):
+            gens_i = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
+            gens_j = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
+            for t in range(n + 1):
+                subsets = [mask(n, *c) for c in itertools.combinations(range(1, n + 1), t)]
+                assert subsets == sorted(subsets, key=canonical_key)
+                for js in (gens_j, []):
+                    want = [m for m in subsets if ideal_contains(gens_i, m) and not ideal_contains(js, m)]
+                    assert list(ideal_supports(n, t, gens_i, js)) == want, (n, t, gens_i, js)
 
 
 def test_hypothesis_flag_false_when_j_has_degree_d_generator():
-    inst = validate_pair(2, [mono(2, 1), mono(2, 2)], [mono(2, 2)])
+    inst = validate_pair(2, [mask(2, 1), mask(2, 2)], [mask(2, 2)])
     assert inst.d == 1
     assert not inst.hypothesis_flag
 

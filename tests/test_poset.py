@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 from sqfdepth import (
-    Monomial,
     canonical_key,
     enumerate_quotient,
     random_instance,
@@ -13,19 +12,7 @@ from sqfdepth import (
 )
 from sqfdepth.generate import default_params
 
-from oracles import alpha_table, ideal_contains, rho, supports
-
-
-def mono(n, *indices):
-    return Monomial.from_support(n, indices)
-
-
-def paper_instance():
-    return validate_pair(4, [mono(4, 1), mono(4, 3)], [mono(4, 1, 4)])
-
-
-def paper_instance_jprime():
-    return validate_pair(4, [mono(4, 1), mono(4, 3)], [mono(4, 1, 4), mono(4, 2, 3, 4)])
+from oracles import alpha_table, ideal_contains, mask, paper_instance, paper_instance_jprime, rho, supports
 
 
 def fuzz_instances(n_values=(3, 4, 5, 6), per_n=25, seed=7):
@@ -63,7 +50,7 @@ def test_alpha_values():
 
 def test_alpha_cancellation_when_consecutive_layers_match():
     # rho_d = rho_{d+1} forces alpha_{d+1} = 0
-    inst = validate_pair(3, [mono(3, 1)], [mono(3, 1, 3)])
+    inst = validate_pair(3, [mask(3, 1)], [mask(3, 1, 3)])
     assert rho(inst, 1) == 1 and rho(inst, 2) == 1
     assert alpha_table(inst)[2] == 0
 

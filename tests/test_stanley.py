@@ -13,7 +13,6 @@ from sqfdepth import (
     InputError,
     Interval,
     IntervalPartition,
-    Monomial,
     conjecture_scan,
     enumerate_quotient,
     partition_exists,
@@ -30,26 +29,14 @@ from oracles import (
     exact_depth,
     hypothesis_violating_instances,
     interval_members,
+    mask,
+    mono,
+    paper_instance,
     poset_elements,
+    pure_powers_instance,
     rho,
     untruncated_stanley_depth,
 )
-
-
-def mono(n, *indices):
-    return Monomial.from_support(n, indices)
-
-
-def paper_instance():
-    return validate_pair(4, [mono(4, 1), mono(4, 3)], [mono(4, 1, 4)])
-
-
-def pure_powers_instance():
-    return validate_pair(
-        3,
-        [mono(3, 1), mono(3, 2), mono(3, 3)],
-        [mono(3, 1, 2), mono(3, 1, 3), mono(3, 2, 3)],
-    )
 
 
 def fuzz_instances(n_values=(3, 4, 5), per_n=15, seed=55):
@@ -153,7 +140,7 @@ def test_stanley_depth_golden_values():
     assert value == 1
     assert all(iv.bottom == iv.top for iv in witness.intervals)
 
-    cone = validate_pair(2, [mono(2, 1)], [])
+    cone = validate_pair(2, [mask(2, 1)], [])
     value, witness = stanley_depth(enumerate_quotient(cone))
     assert value == 2
     assert len(witness.intervals) == 1
@@ -162,7 +149,7 @@ def test_stanley_depth_golden_values():
 def test_full_variable_ideal_matches_known_values():
     # the ideal of all variables: sdepth is ceil(n/2), depth is 1
     for n in range(2, 7):
-        gens = [mono(n, j) for j in range(1, n + 1)]
+        gens = [mask(n, j) for j in range(1, n + 1)]
         inst = validate_pair(n, gens, [])
         value, witness = stanley_depth(enumerate_quotient(inst))
         assert value == -(-n // 2)
@@ -216,7 +203,7 @@ def test_truncated_search_matches_untruncated_reference():
 
 
 def test_maximal_ideal_n8_has_sdepth_four():
-    inst = validate_pair(8, [mono(8, j) for j in range(1, 9)], [])
+    inst = validate_pair(8, [mask(8, j) for j in range(1, 9)], [])
     value, witness = stanley_depth(enumerate_quotient(inst))
     assert value == 4
     assert verify_partition(inst, witness).ok
@@ -227,8 +214,8 @@ def test_stanley_depth_needs_no_recursion():
     # level each, far past the lowered recursion limit.
     inst = validate_pair(
         10,
-        [Monomial.from_support(10, c) for c in combinations(range(1, 11), 4)],
-        [Monomial.from_support(10, c) for c in combinations(range(1, 11), 5)],
+        [mask(10, *c) for c in combinations(range(1, 11), 4)],
+        [mask(10, *c) for c in combinations(range(1, 11), 5)],
     )
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)

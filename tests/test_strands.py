@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import importlib
 import itertools
-import pkgutil
 import random
 
 import pytest
 
-import sqfdepth
 import sqfdepth.strands as strands_module
 from sqfdepth import (
     GF2,
@@ -28,7 +25,7 @@ from sqfdepth import (
 from sqfdepth.generate import default_params
 from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
 from sqfdepth.monomials import support_of
-from sqfdepth.strands import _masks_of_size, strand_rank
+from sqfdepth.strands import strand_rank
 
 from oracles import (
     GF3,
@@ -41,24 +38,18 @@ from oracles import (
     from_rows,
     homology_profile,
     hypothesis_violating_instances,
+    mask,
+    mono,
+    paper_instance,
+    paper_instance_jprime,
+    patch_everywhere,
+    pure_powers_instance,
     rank,
     rp2_cone_instance,
     strand_homology,
     supports,
     unscreened_depth_multi,
 )
-
-
-def mono(n, *indices):
-    return Monomial.from_support(n, indices)
-
-
-def paper_instance():
-    return validate_pair(4, [mono(4, 1), mono(4, 3)], [mono(4, 1, 4)])
-
-
-def paper_instance_jprime():
-    return validate_pair(4, [mono(4, 1), mono(4, 3)], [mono(4, 1, 4), mono(4, 2, 3, 4)])
 
 
 def fuzz_instances(n_values=(3, 4, 5), per_n=15, seed=31):
@@ -126,7 +117,7 @@ def test_boundary_sign_requires_divisors_of_ambient():
 
 
 def test_free_module_strand_has_homology_only_at_bottom():
-    inst = validate_pair(2, [mono(2, 1, 2)], [])
+    inst = validate_pair(2, [mask(2, 1, 2)], [])
     dims = strand_homology(inst, mono(2, 1, 2), RATIONALS)
     assert dims[0] == 1
     assert all(v == 0 for i, v in dims.items() if i > 0)
@@ -138,12 +129,7 @@ def test_exact_depth_golden_values():
     assert exact_depth(paper_instance(), GF2) == 3
     assert exact_depth(paper_instance_jprime(), RATIONALS) == 2
     assert exact_depth(paper_instance_jprime(), GF2) == 2
-    pure = validate_pair(
-        3,
-        [mono(3, 1), mono(3, 2), mono(3, 3)],
-        [mono(3, 1, 2), mono(3, 1, 3), mono(3, 2, 3)],
-    )
-    assert exact_depth(pure, RATIONALS) == 1
+    assert exact_depth(pure_powers_instance(), RATIONALS) == 1
 
 
 def test_exact_depth_multi_matches_single_field():
@@ -204,16 +190,8 @@ def _restrict(inst, a):
     """The instance cut down to the variables of a, renumbered increasingly."""
     positions = {j: k + 1 for k, j in enumerate(a.support)}
     k = len(positions)
-    gens_i = [
-        Monomial.from_support(k, [positions[j] for j in support_of(g)])
-        for g in inst.gens_i
-        if g & ~a.mask == 0
-    ]
-    gens_j = [
-        Monomial.from_support(k, [positions[j] for j in support_of(g)])
-        for g in inst.gens_j
-        if g & ~a.mask == 0
-    ]
+    gens_i = [mask(k, *(positions[j] for j in support_of(g))) for g in inst.gens_i if g & ~a.mask == 0]
+    gens_j = [mask(k, *(positions[j] for j in support_of(g))) for g in inst.gens_j if g & ~a.mask == 0]
     return validate_pair(k, gens_i, gens_j)
 
 
@@ -290,15 +268,6 @@ def test_certified_rational_ranks_match_bareiss():
     assert checked > 30000
 
 
-def test_masks_of_size_follow_the_full_table():
-    for n in range(1, 11):
-        table = {}
-        for mask in range(1 << n):
-            table.setdefault(mask.bit_count(), []).append(mask)
-        for size in range(1, n + 1):
-            assert list(_masks_of_size(n, size)) == table[size]
-
-
 def test_torsion_instance_separates_q_from_gf2():
     # GF(2) homology is nonzero where rational homology vanishes: the screen
     # must hand that degree to Bareiss rather than conclude from GF(2).
@@ -317,20 +286,6 @@ def test_rank_split_same_with_shared_or_fresh_cache():
             assert shared == fresh, (inst, f)
 
 
-def _replace_everywhere(monkeypatch, original, replacement) -> None:
-    """Replace the function ``original`` by ``replacement`` wherever a package module holds it.
-
-    Replacing by identity in every module namespace catches exactly the calls
-    made through module globals.
-    """
-    for info in pkgutil.iter_modules(sqfdepth.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"sqfdepth.{info.name}")
-        if getattr(module, original.__name__, None) is original:
-            monkeypatch.setattr(module, original.__name__, replacement)
-
-
 def _spy_on_bareiss(monkeypatch) -> list[int]:
     """Replace rank_bareiss throughout the package; return the list of call sizes.
 
@@ -344,7 +299,7 @@ def _spy_on_bareiss(monkeypatch) -> list[int]:
         calls.append(len(entries))
         return rank_bareiss(entries)
 
-    _replace_everywhere(monkeypatch, rank_bareiss, spy)
+    patch_everywhere(monkeypatch, rank_bareiss, spy)
     return calls
 
 
@@ -364,7 +319,7 @@ def test_bareiss_call_count_gate(monkeypatch):
 def band_instance(n, low, high):
     """I_{n,low}/I_{n,high}: all square-free monomials of degree low..high-1."""
     def layer(k):
-        return [Monomial.from_support(n, c) for c in itertools.combinations(range(1, n + 1), k)]
+        return [mask(n, *c) for c in itertools.combinations(range(1, n + 1), k)]
 
     return validate_pair(n, layer(low), layer(high))
 
@@ -411,7 +366,7 @@ def test_boundary_rows_are_built_once_and_only_for_a_rank(monkeypatch):
 
     monkeypatch.setattr(strands_module, "_boundary_rows", build_spy)
     for fn in (rank_bareiss, rank_gf2, rank_mod_p):
-        _replace_everywhere(monkeypatch, fn, rank_spy(fn))
+        patch_everywhere(monkeypatch, fn, rank_spy(fn))
     for inst in instances:
         assert analyze(inst, fields=(RATIONALS, GF2, GF3), sdepth_poset_cap=0).consistent
     # Nonempty bases are fresh tuples of one strand, and ``builds`` keeps them
