@@ -16,7 +16,7 @@ from pathlib import Path
 from .certificates import AnalysisReport, analyze, counting_certificates
 from .errors import InputError, InternalConsistencyError, ValidationError
 from .generate import default_params
-from .instancefile import MAX_VARIABLES, instance_to_json, parse_instance
+from .instancefile import instance_to_json, parse_instance
 from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import Monomial, QuotientInstance
 from .poset import enumerate_quotient
@@ -166,10 +166,6 @@ def _cmd_strands(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.n > MAX_VARIABLES:
-        raise ValidationError(f"n = {args.n} exceeds the supported limit of {MAX_VARIABLES}")
-    if args.count < 0:
-        raise ValidationError(f"--count must be nonnegative, got {args.count}")
     params = default_params(args.n)
     report = conjecture_scan(
         params, count=args.count, seed=args.seed, max_sdepth_poset=args.max_sdepth_poset

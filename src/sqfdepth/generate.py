@@ -10,8 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InputError
-from .monomials import QuotientInstance, minimalize, validate_pair
+from .monomials import QuotientInstance, check_variable_count, minimalize, validate_pair
 
 
 @dataclass(frozen=True)
@@ -21,10 +20,7 @@ class GeneratorParams:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise InputError(f"n must be an int, got {self.n!r}")
-        if self.n < 1:
-            raise InputError(f"need n >= 1, got {self.n}")
+        check_variable_count(self.n)
 
 
 def default_params(n: int) -> GeneratorParams:

@@ -15,10 +15,7 @@ import json
 from typing import Any
 
 from .errors import InputError, ValidationError
-from .monomials import Monomial, QuotientInstance, support_of, validate_pair
-
-# Every computation walks the 2^n supports of the ambient ring.
-MAX_VARIABLES = 20
+from .monomials import Monomial, QuotientInstance, check_variable_count, support_of, validate_pair
 
 
 def _parse_generators(n: int, raw: Any, key: str) -> list[int]:
@@ -50,10 +47,7 @@ def parse_instance(text: str) -> QuotientInstance:
         if key not in doc:
             raise ValidationError(f"missing key {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("n must be a positive integer", location="n")
-    if n > MAX_VARIABLES:
-        raise ValidationError(f"n = {n} exceeds the supported limit of {MAX_VARIABLES}", location="n")
+    check_variable_count(n, location="n")
     gens_i = _parse_generators(n, doc["I"], "I")
     gens_j = _parse_generators(n, doc["J"], "J")
     return validate_pair(n, gens_i, gens_j)

@@ -11,7 +11,8 @@ layouts and partition witnesses bit-for-bit.  A :class:`QuotientInstance`
 holds its minimal generators as masks in that order.  :class:`Monomial`
 pairs a mask with its ambient n; it is the type of data entering
 (:meth:`Monomial.from_support`) and leaving (witness intervals, strand
-labels, error messages).
+labels, error messages).  :func:`check_variable_count` is the one rule for
+the ambient n, which every entry point that takes one calls.
 
 Ideal membership is decided here alone: :func:`minimalize` reduces
 generator masks, :func:`validate_pair` is the one entry point that turns
@@ -26,6 +27,17 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ValidationError
+
+# Every computation walks the 2^n supports of the ambient ring.
+MAX_VARIABLES = 20
+
+
+def check_variable_count(n: int, location: str | None = None) -> None:
+    """Reject an ambient variable count that is not an int in 1..MAX_VARIABLES (bools included)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValidationError("n must be a positive integer", location=location)
+    if n > MAX_VARIABLES:
+        raise ValidationError(f"n = {n} exceeds the supported limit of {MAX_VARIABLES}", location=location)
 
 
 def support_of(mask: int) -> tuple[int, ...]:
@@ -49,14 +61,14 @@ class Monomial:
     mask: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError(f"ambient variable count must be nonnegative, got {self.n}")
-        if self.mask < 0 or self.mask >> self.n:
-            raise InputError(f"support exceeds the ambient range 1..{self.n}")
+        check_variable_count(self.n)
+        if isinstance(self.mask, bool) or not isinstance(self.mask, int) or not 0 <= self.mask < 1 << self.n:
+            raise InputError(f"mask {self.mask!r} is not a support mask below 2^{self.n}")
 
     @classmethod
     def from_support(cls, n: int, indices: Iterable[int]) -> Monomial:
         """Build a monomial from 1-based variable indices (duplicates rejected)."""
+        check_variable_count(n)
         mask = 0
         for j in indices:
             if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= n:
@@ -117,13 +129,12 @@ class QuotientInstance:
 def validate_pair(n: int, gens_i: Iterable[int], gens_j: Iterable[int]) -> QuotientInstance:
     """Minimalize two lists of generator support masks and build a validated quotient instance.
 
-    Rejects: n that is not an int of at least 1, a generator that is not an
+    Rejects: n outside the :func:`check_variable_count` rule, a generator that is not an
     int mask below 2^n (bools included), J not contained in I (naming the
     offending generator), J equal to I (empty quotient), and instances where
     the constant monomial lies in the quotient (d would be 0).
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"need at least one variable, got n={n!r}")
+    check_variable_count(n)
     gens_i, gens_j = list(gens_i), list(gens_j)
     for g in gens_i + gens_j:
         if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < 1 << n:

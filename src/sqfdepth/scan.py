@@ -6,7 +6,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from .certificates import ALTERNATING_DROP, analyze
-from .errors import InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .generate import GeneratorParams, random_instance
 from .instancefile import instance_to_json
 from .linalg import GF2, RATIONALS
@@ -62,8 +62,11 @@ def conjecture_scan(
     depths; an inconsistent report raises :class:`InternalConsistencyError`
     naming the record.  Instances whose poset exceeds ``max_sdepth_poset``
     (when set) skip the Stanley computation and are listed in
-    ``skipped_sdepth``.
+    ``skipped_sdepth``.  A ``count`` that is not an int of at least 0
+    (bools included) raises :class:`InputError`.
     """
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise InputError(f"count must be a nonnegative int, got {count!r}")
     rng = random.Random(seed)
     records: list[ScanRecord] = []
     for index in range(count):

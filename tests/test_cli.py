@@ -64,18 +64,24 @@ def test_parse_instance_jprime():
 
 
 def test_parse_instance_errors():
-    with pytest.raises(ValidationError, match="duplicate"):
-        parse_instance('{"n":2,"I":[[1,1]],"J":[]}')
-    with pytest.raises(ValidationError, match="out of range"):
-        parse_instance('{"n":2,"I":[[3]],"J":[]}')
-    with pytest.raises(ValidationError, match="invalid JSON"):
-        parse_instance("{nope")
-    with pytest.raises(ValidationError, match="missing key"):
-        parse_instance('{"n":2,"I":[[1]]}')
-    with pytest.raises(ValidationError, match="positive integer"):
-        parse_instance('{"n":0,"I":[[1]],"J":[]}')
-    with pytest.raises(ValidationError):
-        parse_instance('{"n":4,"I":[[1],[3]],"J":[[2,4]]}')
+    cases = [
+        ('{"n":2,"I":[[1,1]],"J":[]}', "duplicate", "I[0]"),
+        ('{"n":2,"I":[[3]],"J":[]}', "out of range", "I[0]"),
+        ("{nope", "invalid JSON", None),
+        ('{"n":2,"I":[[1]]}', "missing key", None),
+        ('[{"n":2,"I":[[1]],"J":[]}]', "must be a JSON object", None),
+        ('{"n":0,"I":[[1]],"J":[]}', "positive integer", "n"),
+        ('{"n":21,"I":[[1]],"J":[]}', "exceeds the supported limit of 20", "n"),
+        ('{"n":3,"I":5,"J":[]}', "expected a list of generator supports", "I"),
+        ('{"n":3,"I":[[1]],"J":{"1":[2]}}', "expected a list of generator supports", "J"),
+        ('{"n":3,"I":[[1],2],"J":[]}', "expected a list of variable indices", "I[1]"),
+        ('{"n":3,"I":[[1],[2]],"J":[[2],["3"]]}', "out of range", "J[1]"),
+        ('{"n":4,"I":[[1],[3]],"J":[[2,4]]}', "does not lie in I", None),
+    ]
+    for text, match, location in cases:
+        with pytest.raises(ValidationError, match=match) as info:
+            parse_instance(text)
+        assert info.value.location == location, text
 
 
 def test_serialize_roundtrip_on_fuzz():
@@ -332,6 +338,34 @@ def test_contradicted_certificate_stays_in_the_report(tmp_path, capsys, monkeypa
     code, out, err = run_cli(tmp_path, capsys, "analyze", instance_text=PAPER)
     assert (code, err) == (3, "")
     assert json.loads(out) == json.loads(json.dumps(report_to_json(report)))
+
+
+def test_stanley_depth_below_depth_is_a_finding_not_an_inconsistency(tmp_path, capsys, monkeypatch):
+    # A Stanley depth of 1 on every instance: a conjecture counterexample
+    # wherever the depth exceeds 1, and a bound gap wherever a drop fired above 1.
+    original = stanley_depth
+
+    def low(poset):
+        return 1, original(poset)[1]
+
+    patch_everywhere(monkeypatch, original, low)
+    report = certificates_module.analyze(parse_instance(PAPER))
+    assert report.consistent and report.inconsistencies == []
+    assert report.sdepth == 1
+    assert "stanley depth 1 is below depth 3; conjecture counterexample candidate" in report.findings
+
+    scan = conjecture_scan(default_params(3), count=8, seed=1)
+    assert [max(r.depth.values()) for r in scan.records] == [3, 2, 2, 2, 2, 2, 2, 1]
+    assert [r.min_fired_drop for r in scan.records] == [None, 2, None, 2, 2, None, 2, 1]
+    assert scan.stanley_violations == [0, 1, 2, 3, 4, 5, 6]
+    assert scan.bound_gap_findings == [1, 3, 4, 6]
+
+    code, out, err = run_cli(tmp_path, capsys, "scan", "--n", "3", "--count", "8", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == scan.to_json_dict()
+    code, out, err = run_cli(tmp_path, capsys, "analyze", instance_text=PAPER)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["findings"] == report.findings
 
 
 def test_cli_scan_different_seed_differs(tmp_path, capsys):

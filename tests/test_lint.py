@@ -104,3 +104,27 @@ def test_benchmark_coverage_spans_name_traced_functions(monkeypatch):
         if func.startswith("_") or isinstance(fn, type) or not callable(fn) or fn.__module__ != module.__name__:
             untraced.append(name)
     assert untraced == []
+
+
+def test_the_variable_limit_has_one_home():
+    # monomials.check_variable_count is the one rule for the ambient n.  A copy
+    # of the limit in another module, or a range check in the CLI, would be a
+    # second rule that the library path does not share.
+    assigned, named = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Assign) and "MAX_VARIABLES" in {getattr(t, "id", None) for t in node.targets}:
+                assigned.append(path.name)
+        if path.name != "monomials.py" and "MAX_VARIABLES" in text:
+            named.append(path.name)
+    assert assigned == ["monomials.py"]
+    assert named == []
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    checks = [
+        node.lineno
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops)
+    ]
+    assert checks == []

@@ -22,7 +22,7 @@ from sqfdepth import (
     random_instance,
     validate_pair,
 )
-from sqfdepth.monomials import ideal_supports, support_of
+from sqfdepth.monomials import MAX_VARIABLES, ideal_supports, support_of
 
 from oracles import divides, hypothesis_violating_instances, ideal_contains, mask, mono, rp2_cone_instance
 
@@ -115,22 +115,38 @@ def test_validate_pair_rejects_generators_that_are_not_masks(gens_i, gens_j):
         validate_pair(3, gens_i, gens_j)
 
 
-@pytest.mark.parametrize("n", [0, -2, 3.0, True, "3", None])
-def test_validate_pair_rejects_n_that_is_not_a_positive_int(n):
-    with pytest.raises(ValidationError, match="need at least one variable"):
-        validate_pair(n, [0b001], [])
+# Every entry point that takes an ambient variable count applies the one rule
+# of monomials.check_variable_count, with the same message.
+N_ENTRY_POINTS = {
+    "validate_pair": lambda n: validate_pair(n, [0b001], []),
+    "Monomial": lambda n: Monomial(n, 0b001),
+    "Monomial.from_support": lambda n: Monomial.from_support(n, [1]),
+    "GeneratorParams": GeneratorParams,
+    "parse_instance": lambda n: parse_instance(json.dumps({"n": n, "I": [[1]], "J": []})),
+}
 
 
-@pytest.mark.parametrize("n, message", [
-    (2.5, "n must be an int, got 2.5"),
-    (3.0, "n must be an int, got 3.0"),
-    (True, "n must be an int, got True"),
-    ("3", "n must be an int, got '3'"),
-    (0, "need n >= 1, got 0"),
-])
-def test_generator_params_reject_n_that_is_not_a_positive_int(n, message):
-    with pytest.raises(InputError, match=message):
-        GeneratorParams(n)
+@pytest.mark.parametrize("entry", list(N_ENTRY_POINTS))
+@pytest.mark.parametrize("n", [0, -2, 21, 3.0, 2.5, True, "3", None])
+def test_every_entry_point_applies_the_n_rule(n, entry):
+    message = "n = 21 exceeds the supported limit of 20" if n == 21 else "n must be a positive integer"
+    location = "n" if entry == "parse_instance" else None
+    with pytest.raises(ValidationError) as info:
+        N_ENTRY_POINTS[entry](n)
+    assert info.value.location == location
+    assert str(info.value) == (message if location is None else f"n: {message}")
+
+
+@pytest.mark.parametrize("entry", list(N_ENTRY_POINTS))
+def test_every_entry_point_accepts_n_at_both_ends(entry):
+    for n in (1, MAX_VARIABLES):
+        N_ENTRY_POINTS[entry](n)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, -1, 1 << 3, "1", None])
+def test_monomial_rejects_masks_that_are_not_supports(value):
+    with pytest.raises(InputError, match="is not a support mask below 2\\^3"):
+        Monomial(3, value)
 
 
 def test_validate_pair_rejects_unit_ideal():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -73,17 +74,21 @@ def test_verify_partition_rejects_uncovered_element():
 
 
 def test_verify_partition_rejects_top_outside_poset():
+    # Each endpoint check runs before the interval's members are walked: the
+    # ambient, divisibility, then bottom and top in the poset.
     inst = paper_instance()
-    partition = IntervalPartition(
-        intervals=(
-            Interval(mono(4, 1), mono(4, 1, 2, 3)),
-            Interval(mono(4, 1, 3), mono(4, 1, 2, 3, 4)),
-        ),
-        sdepth_value=3,
-    )
-    check = verify_partition(inst, partition)
-    assert not check.ok
-    assert "not in the poset" in check.reason
+    witness = Interval(mono(4, 1), mono(4, 1, 2, 3))
+    cases = [
+        (Interval(mono(4, 1, 3), mono(4, 1, 2, 3, 4)), "top x1*x2*x3*x4 is not in the poset"),
+        (Interval(mono(4, 2), mono(4, 2, 3)), "bottom x2 is not in the poset"),
+        (Interval(mono(4, 1, 2), mono(4, 1, 3)), "bottom x1*x2 does not divide top x1*x3"),
+        (Interval(mono(5, 3), mono(5, 2, 3, 4)), "interval [x3, x2*x3*x4] has wrong ambient"),
+        (Interval(mono(4, 3), mono(5, 2, 3, 4)), "interval [x3, x2*x3*x4] has wrong ambient"),
+    ]
+    for interval, reason in cases:
+        check = verify_partition(inst, IntervalPartition(intervals=(witness, interval), sdepth_value=3))
+        assert not check.ok
+        assert check.reason == reason
 
 
 def test_verify_partition_rejects_overlap():
@@ -232,6 +237,12 @@ def test_conjecture_scan_empty():
     report = conjecture_scan(GeneratorParams(n=4), count=0, seed=1)
     assert report.records == []
     assert report.stanley_violations == []
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, True, "3", None])
+def test_conjecture_scan_rejects_a_count_that_is_not_a_nonnegative_int(count):
+    with pytest.raises(InputError, match=f"count must be a nonnegative int, got {re.escape(repr(count))}$"):
+        conjecture_scan(default_params(3), count=count, seed=0)
 
 
 def test_conjecture_scan_small_run():
