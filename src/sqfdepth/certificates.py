@@ -34,7 +34,7 @@ from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import QuotientInstance
 from .poset import PosetLayers, enumerate_quotient
 from .stanley import IntervalPartition, stanley_depth
-from .strands import RankCache, build_strand, exact_depth_multi, homology_dim, strand_rank
+from .strands import build_strand, exact_depth_multi, homology_dim, strand_rank
 
 LOWER_BOUND = "lower_bound"
 BASE_DROP = "base_drop"
@@ -48,6 +48,9 @@ DEPTH_AT_MOST = "depth_at_most"
 DEPTH_EQUALS = "depth_equals"
 INEQUALITY_HOLDS = "inequality_holds"
 RANK_IDENTITY_HOLDS = "rank_identity_holds"
+
+# Posets larger than this skip the Stanley search by default.
+SDEPTH_POSET_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -193,12 +196,7 @@ def check_layer_sandwich(poset: PosetLayers, depth: int) -> Certificate:
     )
 
 
-def check_rank_split(
-    poset: PosetLayers,
-    field: FieldSpec,
-    depth: int,
-    ranks: RankCache | None = None,
-) -> list[Certificate]:
+def check_rank_split(poset: PosetLayers, field: FieldSpec, depth: int) -> list[Certificate]:
     """Rank decomposition of each full-strand layer, one certificate per offset i.
 
     At the full multidegree, the boundary leaving the degree-(d+i) layer
@@ -213,23 +211,21 @@ def check_rank_split(
 
     The full strand is built here, bases only; its chain-degree-(n-d-i)
     basis is the degree-(d+i) layer, so r is read off it.  Ranks come from
-    :func:`strand_rank`; pass the ``ranks`` dict that
-    :func:`exact_depth_multi` filled to reuse every rank the depth scan
-    already computed on the full strand, so that only the missing ones
-    build their rows.  Over Q a rank is taken from GF(2) whenever the GF(2)
-    homology vanishes at either end of its map, so on a full strand that is
-    exact mod 2 the split costs GF(2) ranks alone; Bareiss runs only on a
-    map between two layers that both carry GF(2) homology.
+    :func:`strand_rank`, through the poset's rank memo: every rank that
+    :func:`exact_depth_multi` already computed on the full strand of this
+    poset is reused, so only the missing ones build their rows.  Over Q a
+    rank is taken from GF(2) whenever the GF(2) homology vanishes at either
+    end of its map, so on a full strand that is exact mod 2 the split costs
+    GF(2) ranks alone; Bareiss runs only on a map between two layers that
+    both carry GF(2) homology.
     """
     n, d = poset.instance.n, poset.instance.d
     full = build_strand(poset, (1 << n) - 1)
-    if ranks is None:
-        ranks = {}
     out = []
     for i in range(0, n - d):
         j = n - d - i
         conclusions: tuple[Conclusion, ...] = ()
-        if homology_dim(full, j, field, ranks):
+        if homology_dim(full, j, field):
             conclusions = (Conclusion(DEPTH_AT_MOST, d + i),)
         elif depth > d + i:
             conclusions = (Conclusion(RANK_IDENTITY_HOLDS),)
@@ -241,8 +237,8 @@ def check_rank_split(
                 numbers={
                     "i": i,
                     "r": len(full.basis(j)),
-                    "rank_in": strand_rank(full, j + 1, field, ranks),
-                    "rank_out": strand_rank(full, j, field, ranks),
+                    "rank_in": strand_rank(full, j + 1, field),
+                    "rank_out": strand_rank(full, j, field),
                     "depth": depth,
                 },
                 conclusions=conclusions,
@@ -305,30 +301,30 @@ def _conclusion_violations(cert: Certificate, depths: dict[str, int]) -> list[st
 def analyze(
     inst: QuotientInstance,
     fields: tuple[FieldSpec, ...] = (RATIONALS, GF2),
-    sdepth_poset_cap: int | None = 40,
+    sdepth_poset_cap: int | None = SDEPTH_POSET_CAP,
 ) -> AnalysisReport:
     """Run the whole pipeline on one instance and cross-check every conclusion.
 
-    Enumerates the quotient poset once and hands it to every stage, along
-    with one rank cache, evaluates all certificates, computes the exact
-    depth per requested field and (poset size permitting) the Stanley depth
-    with witness, then verifies every conclusion against the exact depths;
-    this is the only place a certificate is judged.  The fields are
+    Enumerates the quotient poset once and hands it, with its rank memo, to
+    every stage, evaluates all certificates, computes the exact depth per
+    requested field and (unless the poset has more than ``sdepth_poset_cap``
+    elements) the Stanley depth with witness, then verifies every
+    conclusion against the exact depths; this is the only place a
+    certificate is judged.  The fields are
     deduplicated, and an empty list rejected, by :func:`exact_depth_multi`;
     the per-field checks run over the fields of its result.  Cross-check
     failures are collected, never silently dropped; ``consistent`` is False
     when any were found.
     """
     poset = enumerate_quotient(inst)
-    ranks: RankCache = {}
-    depths_by_field = exact_depth_multi(poset, fields, ranks)
+    depths_by_field = exact_depth_multi(poset, fields)
     depths = {f.label: v for f, v in depths_by_field.items()}
 
     certificates = counting_certificates(poset)
     findings = [c.warning for c in certificates if c.warning]
     for f, depth_f in depths_by_field.items():
         certificates.append(replace(check_layer_sandwich(poset, depth_f), field=f))
-        certificates.extend(check_rank_split(poset, f, depth_f, ranks))
+        certificates.extend(check_rank_split(poset, f, depth_f))
     inconsistencies = [v for cert in certificates for v in _conclusion_violations(cert, depths)]
 
     sdepth_value: int | None = None

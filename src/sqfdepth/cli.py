@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .certificates import AnalysisReport, analyze, counting_certificates
+from .certificates import SDEPTH_POSET_CAP, AnalysisReport, analyze, counting_certificates
 from .errors import InputError, InternalConsistencyError, ValidationError
 from .generate import default_params
 from .instancefile import instance_to_json, parse_instance
@@ -168,7 +168,7 @@ def _cmd_strands(args) -> int:
 def _cmd_scan(args) -> int:
     params = default_params(args.n)
     report = conjecture_scan(
-        params, count=args.count, seed=args.seed, max_sdepth_poset=args.max_sdepth_poset
+        params, count=args.count, seed=args.seed, sdepth_poset_cap=args.max_sdepth_poset
     )
     _emit(report.to_json_dict())
     return EXIT_OK
@@ -185,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report: counts, certificates, depth, sdepth")
     p.add_argument("instance")
     p.add_argument("--field", action="append", help="q or gf:<p>; repeatable (default: q and gf:2)")
-    p.add_argument("--max-sdepth-poset", type=int, default=40,
-                   help="skip the Stanley computation when the poset exceeds this size (default 40)")
+    p.add_argument("--max-sdepth-poset", type=int, default=SDEPTH_POSET_CAP,
+                   help="skip the Stanley computation when the poset exceeds this size (default %(default)s)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("depth", help="exact depth only")
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-sdepth-poset", type=int, default=40)
+    p.add_argument("--max-sdepth-poset", type=int, default=SDEPTH_POSET_CAP)
     p.set_defaults(func=_cmd_scan)
 
     return parser

@@ -7,8 +7,9 @@ bitset fast path for GF(2).
 
 The matrices of interest have entries in {-1, 0, +1}, but fraction-free
 intermediate values are minors of the input and can grow, so everything
-stays in arbitrary-precision Python ints.  Dense storage throughout: strand
-matrices at desk scale are at most a few hundred wide.
+stays in arbitrary-precision Python ints.  Dense storage throughout, though
+strand maps reach thousands of rows: the full strand of the band quotient
+I_{13,4}/I_{13,7} has a 1,716 x 1,287 map, that of I_{12,3}/I_{12,6} 792 x 495.
 """
 
 from __future__ import annotations

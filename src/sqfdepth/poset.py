@@ -3,16 +3,20 @@
 The monomials of I \\ J form a finite poset under divisibility.  Everything
 downstream (counting, strand bases, interval partitions) consumes the same
 stratified enumeration.  Membership is decided by :func:`ideal_supports` in
-``monomials``; this module only stacks its layers.  The enumeration is not cached: each computation enumerates the
-poset once and passes the resulting :class:`PosetLayers`, which carries its
-instance, to every function it calls.
+``monomials``; this module only stacks its layers.  Each computation
+enumerates the poset once and passes it to every function it calls; it
+carries its instance and its own strand-rank memo, shared by every stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .monomials import QuotientInstance, ideal_supports
+
+# Strand ranks of one poset, keyed by (multidegree mask, chain degree, field
+# characteristic), with None for the rationals.
+RankCache = dict[tuple[int, int, int | None], int]
 
 
 @dataclass(frozen=True)
@@ -22,11 +26,13 @@ class PosetLayers:
     Elements are support bitmasks (bit j-1 set iff x_j divides the
     monomial).  Within a layer they are in canonical order (lexicographic
     on support, degree being fixed).  Layers past the last nonempty one are
-    present and empty.
+    present and empty.  ``ranks`` is this poset's own strand-rank memo,
+    filled by ``strands.strand_rank``; it is neither an argument nor compared.
     """
 
     instance: QuotientInstance
     layers: tuple[tuple[int, ...], ...]
+    ranks: RankCache = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def layer(self, t: int) -> tuple[int, ...]:
         d = self.instance.d

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 
-from .certificates import ALTERNATING_DROP, analyze
+from .certificates import ALTERNATING_DROP, SDEPTH_POSET_CAP, analyze
 from .errors import InputError, InternalConsistencyError
 from .generate import GeneratorParams, random_instance
 from .instancefile import instance_to_json
@@ -52,7 +52,7 @@ def conjecture_scan(
     params: GeneratorParams,
     count: int,
     seed: int,
-    max_sdepth_poset: int | None = None,
+    sdepth_poset_cap: int | None = SDEPTH_POSET_CAP,
 ) -> ScanReport:
     """Generate ``count`` instances, run :func:`analyze` on each over Q and
     GF(2), and compare Stanley depth with depth and the drop bounds.
@@ -60,8 +60,8 @@ def conjecture_scan(
     Fully reproducible from the seed.  Each record is read off its analysis
     report, so every fired certificate is cross-checked against the exact
     depths; an inconsistent report raises :class:`InternalConsistencyError`
-    naming the record.  Instances whose poset exceeds ``max_sdepth_poset``
-    (when set) skip the Stanley computation and are listed in
+    naming the record.  Instances whose poset exceeds ``sdepth_poset_cap``
+    (``None`` for no cap) skip the Stanley computation and are listed in
     ``skipped_sdepth``.  A ``count`` that is not an int of at least 0
     (bools included) raises :class:`InputError`.
     """
@@ -71,7 +71,7 @@ def conjecture_scan(
     records: list[ScanRecord] = []
     for index in range(count):
         inst = random_instance(params, rng)
-        report = analyze(inst, (RATIONALS, GF2), max_sdepth_poset)
+        report = analyze(inst, (RATIONALS, GF2), sdepth_poset_cap)
         if not report.consistent:
             raise InternalConsistencyError(f"scan record {index}: " + "; ".join(report.inconsistencies))
         fired_ts = [c.t for c in report.certificates if c.kind == ALTERNATING_DROP and c.fired]

@@ -18,7 +18,9 @@ and J have their basis elements in the multidegrees of lcms of
 generators, so Tor_i(I/J)_a vanishes unless a is an lcm of generators of I
 or of J; an lcm of square-free monomials is square-free.  The argument
 holds over Z, so over every field.  The brute-force multidegree oracle in
-the test suite checks the same fact on small instances.
+the test suite checks the same fact on small instances, and another test
+checks the finer bound: H_i at a needs i + 1 generators of I, or i of J,
+with lcm a.
 """
 
 from __future__ import annotations
@@ -29,14 +31,10 @@ from typing import Sequence
 from .errors import InputError, InternalConsistencyError
 from .linalg import GF2, FieldSpec, rank_bareiss, rank_gf2, rank_mod_p
 from .monomials import ideal_supports
-from .poset import PosetLayers
+from .poset import PosetLayers, RankCache
 
 
 Rows = tuple[tuple[int, ...], ...]
-
-# Strand ranks of one computation, keyed by (multidegree mask, chain degree,
-# field characteristic), with None for the rationals.
-RankCache = dict[tuple[int, int, int | None], int]
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,12 @@ class StrandComplex:
     The differentials are not stored up front: ``entries(i)`` builds the
     one leaving chain degree i the first time it is asked for and keeps it
     on this strand.  Outside the populated range it degrades to empty shapes.
+    ``ranks`` is the rank memo of the poset the strand was built from.
     """
 
     multidegree: int
     bases: tuple[tuple[int, ...], ...]
+    ranks: RankCache = dc_field(repr=False, compare=False)
     _rows: dict[int, Rows] = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def basis(self, i: int) -> tuple[int, ...]:
@@ -98,18 +98,19 @@ def build_strand(poset: PosetLayers, a: int) -> StrandComplex:
     The chain-degree-i basis consists exactly of the quotient-poset monomials
     of degree deg(a) - i dividing a.  An empty strand (all bases empty) is a
     valid result.  Only the bases are built here; see
-    :meth:`StrandComplex.entries` for the differentials.
+    :meth:`StrandComplex.entries` for the differentials.  The strand shares
+    the poset's rank memo, so its ranks are computed once per poset.
     """
     size = a.bit_count()
     bases = tuple(
         tuple(m for m in poset.layer(size - i) if m & ~a == 0)
         for i in range(size + 1)
     )
-    return StrandComplex(multidegree=a, bases=bases)
+    return StrandComplex(multidegree=a, bases=bases, ranks=poset.ranks)
 
 
-def strand_rank(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCache) -> int:
-    """Rank over ``field`` of the differential d_i leaving chain degree i, memoized in ``ranks``.
+def strand_rank(strand: StrandComplex, i: int, field: FieldSpec) -> int:
+    """Rank over ``field`` of the map d_i leaving chain degree i, memoized in ``strand.ranks``.
 
     GF(2) ranks use the bitset route and odd primes modular elimination.  A
     map with an empty source or target has rank 0 and its rows are never
@@ -132,7 +133,7 @@ def strand_rank(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCach
     the depth scan has usually computed already.
     """
     key = (strand.multidegree, i, field.p)
-    r = ranks.get(key)
+    r = strand.ranks.get(key)
     if r is not None:
         return r
     short = min(len(strand.basis(i - 1)), len(strand.basis(i)))
@@ -143,20 +144,20 @@ def strand_rank(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCach
     elif field.p is not None:
         r = rank_mod_p(strand.entries(i), field.p)
     else:
-        r = strand_rank(strand, i, GF2, ranks)
-        if r < short and homology_dim(strand, i, GF2, ranks) and homology_dim(strand, i - 1, GF2, ranks):
+        r = strand_rank(strand, i, GF2)
+        if r < short and homology_dim(strand, i, GF2) and homology_dim(strand, i - 1, GF2):
             r = rank_bareiss(strand.entries(i))
-    ranks[key] = r
+    strand.ranks[key] = r
     return r
 
 
-def homology_dim(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCache) -> int:
+def homology_dim(strand: StrandComplex, i: int, field: FieldSpec) -> int:
     """Dimension over ``field`` of the strand's homology at chain degree i; never negative.
 
     Raises :class:`InternalConsistencyError` when the two ranks around chain
     degree i exceed its dimension, which d o d = 0 rules out.
     """
-    dim = len(strand.basis(i)) - strand_rank(strand, i, field, ranks) - strand_rank(strand, i + 1, field, ranks)
+    dim = len(strand.basis(i)) - strand_rank(strand, i, field) - strand_rank(strand, i + 1, field)
     if dim < 0:
         raise InternalConsistencyError(
             f"negative homology dimension {dim} at mask {strand.multidegree:#b}, chain degree {i}"
@@ -164,11 +165,7 @@ def homology_dim(strand: StrandComplex, i: int, field: FieldSpec, ranks: RankCac
     return dim
 
 
-def exact_depth_multi(
-    poset: PosetLayers,
-    fields: Sequence[FieldSpec],
-    ranks: RankCache | None = None,
-) -> dict[FieldSpec, int]:
+def exact_depth_multi(poset: PosetLayers, fields: Sequence[FieldSpec]) -> dict[FieldSpec, int]:
     """Exact depth over several fields in one scan of the square-free multidegrees.
 
     For each field, depth = n - max{i : some strand has nonzero homology in
@@ -189,15 +186,13 @@ def exact_depth_multi(
     rational elimination.  Odd primes are ranked directly by modular
     elimination.
 
-    Every rank computed is stored in ``ranks`` (a fresh dict when omitted),
-    so a caller that passes the same dict to :func:`check_rank_split` reuses
-    the ranks of the full strand instead of eliminating them again.
+    Every rank computed is stored in ``poset.ranks``, so a later
+    :func:`check_rank_split` on the same poset reuses the ranks of the full
+    strand instead of eliminating them again.
     """
     field_list = list(dict.fromkeys(fields))
     if not field_list:
         raise InputError("need at least one field")
-    if ranks is None:
-        ranks = {}
     inst = poset.instance
     n, d = inst.n, inst.d
     best = {f: -1 for f in field_list}
@@ -213,7 +208,7 @@ def exact_depth_multi(
                 for i in range(bound, best[f], -1):
                     if not strand.basis(i):
                         continue
-                    if homology_dim(strand, i, f, ranks):
+                    if homology_dim(strand, i, f):
                         best[f] = i
                         break
     for f, top in best.items():

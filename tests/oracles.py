@@ -7,6 +7,9 @@ oracle enumerates every interval partition outright.  The unscreened depth
 scan is the reference route for the package's screened scan, the
 untruncated exact-cover search the reference route for its Stanley search,
 and Gaussian elimination on Fractions the reference route for Bareiss.
+The instance families at the bottom are seeded or exhaustive: every ideal
+and every quotient in a few variables, hypothesis-violating draws, and the
+cone over the real projective plane.
 The small helpers at the top (monomials and masks from indices, the paper's
 instances, patching a function throughout the package, per-instance
 rho/alpha/elements, supports of masks, interval members, single-field depth,
@@ -295,11 +298,10 @@ def all_strands(inst: QuotientInstance) -> Iterator[StrandComplex]:
 
 
 def _strand_homology(strand: StrandComplex, field: FieldSpec) -> dict[int, int]:
-    ranks: dict = {}
     dims = {}
     for i in strand.chain_degrees():
         if strand.basis(i):
-            dim = len(strand.basis(i)) - strand_rank(strand, i, field, ranks) - strand_rank(strand, i + 1, field, ranks)
+            dim = len(strand.basis(i)) - strand_rank(strand, i, field) - strand_rank(strand, i + 1, field)
             if dim < 0:
                 raise InternalConsistencyError(
                     f"negative homology dimension {dim} at {strand.multidegree}, chain degree {i}"
@@ -576,6 +578,42 @@ def hypothesis_violating_instances(count=250, seed=404) -> list[QuotientInstance
             continue
         out.append(inst)
     return out
+
+
+def all_ideals(n: int) -> list[tuple[int, ...]]:
+    """Every square-free monomial ideal in n variables, as its minimal generator masks.
+
+    These are the antichains of the Boolean lattice on n elements, so there
+    are Dedekind-many: the zero ideal () and the unit ideal (0,) included.
+    Generators are listed by degree, then mask.
+    """
+    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    out: list[tuple[int, ...]] = []
+
+    def extend(k: int, chosen: tuple[int, ...]) -> None:
+        if k == len(masks):
+            out.append(chosen)
+            return
+        extend(k + 1, chosen)
+        m = masks[k]
+        # No later mask lies below an earlier one, so m joins unless a chosen one divides it.
+        if all(g & ~m for g in chosen):
+            extend(k + 1, chosen + (m,))
+
+    extend(0, ())
+    return out
+
+
+def census_instances(n: int) -> list[QuotientInstance]:
+    """Every quotient I/J of square-free monomial ideals in n variables with J ⊊ I and 1 not in I."""
+    ideals = all_ideals(n)
+    return [
+        validate_pair(n, gens_i, gens_j)
+        for gens_i in ideals
+        if 0 not in gens_i
+        for gens_j in ideals
+        if gens_j != gens_i and all(ideal_contains(gens_i, g) for g in gens_j)
+    ]
 
 
 # The 6-vertex triangulation of the real projective plane; all 15 edges are faces.

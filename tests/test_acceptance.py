@@ -286,7 +286,7 @@ def test_criterion_08_stanley_engine():
     findings = []
     total = 0
     for n, seed in ((5, 501), (6, 601)):
-        report = conjecture_scan(default_params(n), count=500, seed=seed, max_sdepth_poset=None)
+        report = conjecture_scan(default_params(n), count=500, seed=seed, sdepth_poset_cap=None)
         total += len(report.records)
         for index in report.stanley_violations:
             findings.append((n, seed, index, report.records[index].to_json_dict()))

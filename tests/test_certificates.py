@@ -29,6 +29,8 @@ from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS, INEQUALITY_HOLDS,
 from sqfdepth.generate import default_params
 
 from oracles import (
+    all_ideals,
+    census_instances,
     exact_depth,
     hypothesis_violating_instances,
     mask,
@@ -288,3 +290,18 @@ def test_analyze_ignores_repeated_fields():
         repeated = analyze(inst, fields=(GF2, GF2, RATIONALS))
         once = analyze(inst, fields=(GF2, RATIONALS))
         assert repeated == once
+
+
+def test_every_quotient_in_at_most_four_variables():
+    # Every J ⊊ I with 1 not in I, over the Dedekind-many ideals.  A depth
+    # that differs between Q and GF(2), or a Stanley depth below the depth,
+    # would be a finding about these small quotients, not a tolerance.
+    for n, ideals, pairs in ((3, 20, 129), (4, 168, 7246)):
+        assert len(all_ideals(n)) == ideals
+        instances = census_instances(n)
+        assert len(instances) == pairs
+        for inst in instances:
+            report = analyze(inst, (RATIONALS, GF2), sdepth_poset_cap=None)
+            assert report.consistent, (inst, report.inconsistencies)
+            assert report.depth["q"] == report.depth["gf:2"], inst
+            assert report.sdepth >= report.depth["q"], inst

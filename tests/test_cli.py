@@ -310,17 +310,18 @@ def test_scan_cross_checks_every_fired_certificate(tmp_path, capsys, monkeypatch
 
 
 def test_contradicted_certificate_stays_in_the_report(tmp_path, capsys, monkeypatch):
-    # Zero every full-strand rank the depth scan cached.  The rank split then
-    # sees a surplus at each offset, and the depth bounds it concludes that the
-    # exact depth contradicts are reported like any other inconsistency.
+    # Zero every full-strand rank the depth scan left in the poset's memo.  The
+    # rank split then sees a surplus at each offset, and the depth bounds it
+    # concludes that the exact depth contradicts are reported like any other
+    # inconsistency.
     original = certificates_module.exact_depth_multi
 
-    def corrupt(poset, fields, ranks):
-        depths = original(poset, fields, ranks)
+    def corrupt(poset, fields):
+        depths = original(poset, fields)
         full = (1 << poset.instance.n) - 1
-        for key in ranks:
+        for key in poset.ranks:
             if key[0] == full:
-                ranks[key] = 0
+                poset.ranks[key] = 0
         return depths
 
     monkeypatch.setattr(certificates_module, "exact_depth_multi", corrupt)
@@ -455,15 +456,14 @@ def test_core_functions_given_a_poset_do_not_enumerate(monkeypatch):
     calls = _spy_on_enumerate(monkeypatch)
     for poset in posets:
         inst = poset.instance
-        ranks = {}
-        depths = exact_depth_multi(poset, (RATIONALS, GF2), ranks)
+        depths = exact_depth_multi(poset, (RATIONALS, GF2))
         build_strand(poset, (1 << inst.n) - 1)
         check_base_drop(poset)
         check_alternating_drop(poset)
         check_principal_gap(poset)
         counting_certificates(poset)
         check_layer_sandwich(poset, depths[RATIONALS])
-        check_rank_split(poset, RATIONALS, depths[RATIONALS], ranks)
+        check_rank_split(poset, RATIONALS, depths[RATIONALS])
         check_rank_split(poset, GF2, depths[GF2])
         partition_exists(poset, inst.d)
         stanley_depth(poset)
@@ -486,13 +486,12 @@ def test_core_functions_given_a_poset_build_no_monomials(monkeypatch):
     monkeypatch.setattr(Monomial, "__post_init__", spy)
     for inst in instances:
         poset = enumerate_quotient(inst)
-        ranks = {}
-        depths = exact_depth_multi(poset, (RATIONALS, GF2, GF3), ranks)
+        depths = exact_depth_multi(poset, (RATIONALS, GF2, GF3))
         build_strand(poset, (1 << inst.n) - 1)
         counting_certificates(poset)
         for field, depth in depths.items():
-            check_rank_split(poset, field, depth, ranks)
             check_rank_split(poset, field, depth)
+            check_rank_split(enumerate_quotient(inst), field, depth)
     assert partition_exists(enumerate_quotient(instances[-1]), 3) is None
     assert built == []
 

@@ -128,3 +128,26 @@ def test_the_variable_limit_has_one_home():
         if isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops)
     ]
     assert checks == []
+
+
+def test_the_rank_memo_has_one_owner():
+    # Strand ranks are memoized on the poset they were computed from, and
+    # build_strand hands that memo to each strand.  A rank cache taken as a
+    # parameter, or a strand built elsewhere, could pair a memo with the
+    # strands of another instance.
+    params, builders = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if arg]
+                if "ranks" in names:
+                    params.append(f"{path.name}:{node.lineno}")
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "StrandComplex" in _referenced(node.func):
+                    builders.append(f"{path.name}:{owner}")
+    assert params == []
+    assert builders == ["strands.py:build_strand"]

@@ -246,7 +246,7 @@ def test_conjecture_scan_rejects_a_count_that_is_not_a_nonnegative_int(count):
 
 
 def test_conjecture_scan_small_run():
-    report = conjecture_scan(default_params(4), count=50, seed=9, max_sdepth_poset=None)
+    report = conjecture_scan(default_params(4), count=50, seed=9, sdepth_poset_cap=None)
     assert len(report.records) == 50
     assert report.stanley_violations == []
     for record in report.records:
@@ -255,13 +255,13 @@ def test_conjecture_scan_small_run():
 
 
 def test_conjecture_scan_deterministic():
-    a = conjecture_scan(default_params(5), count=30, seed=4, max_sdepth_poset=None)
-    b = conjecture_scan(default_params(5), count=30, seed=4, max_sdepth_poset=None)
+    a = conjecture_scan(default_params(5), count=30, seed=4, sdepth_poset_cap=None)
+    b = conjecture_scan(default_params(5), count=30, seed=4, sdepth_poset_cap=None)
     assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_conjecture_scan_respects_poset_cap():
-    report = conjecture_scan(default_params(6), count=40, seed=2, max_sdepth_poset=5)
+    report = conjecture_scan(default_params(6), count=40, seed=2, sdepth_poset_cap=5)
     for record in report.records:
         if record.index in report.skipped_sdepth:
             assert record.sdepth is None

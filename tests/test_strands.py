@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
+import sqfdepth.certificates as certificates_module
 import sqfdepth.strands as strands_module
 from sqfdepth import (
     GF2,
@@ -33,6 +36,7 @@ from oracles import (
     boundary,
     boundary_sign,
     brute_multidegree_homology,
+    census_instances,
     compose_is_zero,
     exact_depth,
     from_rows,
@@ -242,8 +246,8 @@ def test_screened_depth_matches_unscreened_reference():
 def test_certified_rational_ranks_match_bareiss():
     # Every Q rank strand_rank returns, whether certified from GF(2) ranks or
     # eliminated, must equal the rank by Bareiss on the same rows: the ranks
-    # an analysis computes through the shared cache, and on the smaller
-    # instances every map of every strand from a cache of its own.
+    # an analysis computes through the poset's memo, and on the smaller
+    # instances every map of every strand.
     instances = (
         fuzz_instances(n_values=(3, 4, 5, 6, 7, 8), per_n=40)
         + hypothesis_violating_instances()
@@ -252,10 +256,9 @@ def test_certified_rational_ranks_match_bareiss():
     checked = 0
     for inst in instances:
         poset = enumerate_quotient(inst)
-        ranks = {}
-        depths = exact_depth_multi(poset, (RATIONALS, GF2), ranks)
-        check_rank_split(poset, RATIONALS, depths[RATIONALS], ranks)
-        for (mask, i, p), r in ranks.items():
+        depths = exact_depth_multi(poset, (RATIONALS, GF2))
+        check_rank_split(poset, RATIONALS, depths[RATIONALS])
+        for (mask, i, p), r in poset.ranks.items():
             if p is None:
                 assert r == rank(boundary(build_strand(poset, mask), i), RATIONALS), (inst, mask, i)
                 checked += 1
@@ -263,7 +266,7 @@ def test_certified_rational_ranks_match_bareiss():
             continue
         for strand in all_strands(inst):
             for i in strand.chain_degrees():
-                assert strand_rank(strand, i, RATIONALS, {}) == rank(boundary(strand, i), RATIONALS), (inst, i)
+                assert strand_rank(strand, i, RATIONALS) == rank(boundary(strand, i), RATIONALS), (inst, i)
                 checked += 1
     assert checked > 30000
 
@@ -276,12 +279,89 @@ def test_torsion_instance_separates_q_from_gf2():
     assert exact_depth(inst, RATIONALS) == 4
 
 
+def test_each_poset_owns_its_rank_memo():
+    inst = paper_instance()
+    p, q = enumerate_quotient(inst), enumerate_quotient(inst)
+    assert p == q and p.ranks is not q.ranks
+    assert all(build_strand(p, a).ranks is p.ranks for a in range(1 << inst.n))
+    exact_depth_multi(p, SCREEN_FIELDS)
+    assert p.ranks and q.ranks == {}
+    assert p == q and "ranks" not in repr(p)
+
+
+def _fresh_results(inst, fields):
+    poset = enumerate_quotient(inst)
+    depths = exact_depth_multi(poset, fields)
+    return depths, [c.to_json_dict() for f in fields for c in check_rank_split(poset, f, depths[f])]
+
+
+def test_a_run_on_one_poset_leaves_the_next_one_fresh(monkeypatch):
+    # A rank memo keyed by multidegree alone, once filled on one instance and
+    # handed to the next, made that one read ranks of the wrong strands.  Each
+    # poset now carries its own memo: analyze runs on the first poset of each
+    # pair, and the second must still get the results of a fresh enumeration.
+    first = validate_pair(4, [mask(4, 2), mask(4, 1, 3)], [mask(4, 2, 4), mask(4, 1, 2, 3), mask(4, 1, 3, 4)])
+    second = validate_pair(4, [mask(4, 3)], [mask(4, 1, 2, 3)])
+    pairs = [(first, second)]
+    rng = random.Random(5)
+    for n in (3, 4, 5, 6):
+        for _ in range(25):
+            pairs.append((random_instance(default_params(n), rng), random_instance(default_params(n), rng)))
+    for inst_a, inst_b in pairs:
+        expected = _fresh_results(inst_b, SCREEN_FIELDS)
+        poset_a = enumerate_quotient(inst_a)
+        with monkeypatch.context() as m:
+            m.setattr(certificates_module, "enumerate_quotient", lambda inst: poset_a)
+            assert analyze(inst_a, SCREEN_FIELDS, sdepth_poset_cap=0).consistent
+        assert poset_a.ranks
+        poset_b = enumerate_quotient(inst_b)
+        depths = exact_depth_multi(poset_b, SCREEN_FIELDS)
+        splits = [c.to_json_dict() for f in SCREEN_FIELDS for c in check_rank_split(poset_b, f, depths[f])]
+        assert (depths, splits) == expected, (inst_a, inst_b)
+    depths, splits = _fresh_results(second, (RATIONALS, GF2))
+    assert depths == {RATIONALS: 3, GF2: 3}
+    assert [c["conclusions"] for c in splits] == ([[{"kind": "rank_identity_holds"}]] * 2 + [[]]) * 2
+
+
+def _taylor_allows(inst, a, i, slack=0):
+    """H_i at multidegree a needs a Taylor basis element there: a is the join
+    of i+1 generators of I, or of i generators of J.  ``slack`` lowers both
+    caps, to show the check can fail."""
+    below_i = [g for g in inst.gens_i if g & ~a == 0]
+    below_j = [g for g in inst.gens_j if g & ~a == 0]
+    return (reduce(or_, below_i, 0) == a and i <= len(below_i) - 1 - slack) or (
+        reduce(or_, below_j, 0) == a and i <= len(below_j) - slack
+    )
+
+
+def test_strand_homology_lies_in_the_taylor_allowance():
+    # The argument in the strands module docstring, checked strand by strand:
+    # Tor_i(I/J)_a sits between Tor_i(I)_a and Tor_(i-1)(J)_a, and the Taylor
+    # resolutions place those in lcms of i+1 generators of I and i of J.
+    rng = random.Random(61)
+    instances = (
+        census_instances(3)
+        + hypothesis_violating_instances()
+        + [rp2_cone_instance(), paper_instance(), paper_instance_jprime()]
+        + [random_instance(default_params(n), rng) for n in (3, 4, 5, 6) for _ in range(20)]
+    )
+    nonzero = [
+        (inst, a.mask, i)
+        for inst in instances
+        for field in SCREEN_FIELDS
+        for a, i, _ in homology_profile(inst, field).per_strand
+    ]
+    assert [x for x in nonzero if not _taylor_allows(*x)] == []
+    assert len(nonzero) == 4316
+    assert sum(not _taylor_allows(*x, slack=1) for x in nonzero) == 4203
+
+
 def test_rank_split_same_with_shared_or_fresh_cache():
     for inst in fuzz_instances(per_n=10) + hypothesis_violating_instances(count=60) + [rp2_cone_instance()]:
-        ranks = {}
-        depths = exact_depth_multi(enumerate_quotient(inst), SCREEN_FIELDS, ranks)
+        poset = enumerate_quotient(inst)
+        depths = exact_depth_multi(poset, SCREEN_FIELDS)
         for f in SCREEN_FIELDS:
-            shared = [c.to_json_dict() for c in check_rank_split(enumerate_quotient(inst), f, depths[f], ranks)]
+            shared = [c.to_json_dict() for c in check_rank_split(poset, f, depths[f])]
             fresh = [c.to_json_dict() for c in check_rank_split(enumerate_quotient(inst), f, depths[f])]
             assert shared == fresh, (inst, f)
 
