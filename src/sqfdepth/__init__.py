@@ -19,7 +19,7 @@ from .certificates import (
     check_rank_split,
     counting_certificates,
 )
-from .errors import InputError, InternalConsistencyError, ValidationError
+from .errors import InputError, InternalConsistencyError
 from .generate import GeneratorParams, default_params, random_instance
 from .instancefile import instance_to_json, parse_instance
 from .linalg import GF2, RATIONALS, FieldSpec
@@ -54,7 +54,6 @@ __all__ = [
     "RATIONALS",
     "ScanReport",
     "StrandComplex",
-    "ValidationError",
     "analyze",
     "build_strand",
     "canonical_key",

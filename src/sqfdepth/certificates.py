@@ -28,8 +28,9 @@ Kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
+from .errors import require_nonnegative_int
 from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import QuotientInstance
 from .poset import PosetLayers, enumerate_quotient
@@ -172,7 +173,7 @@ def check_principal_gap(poset: PosetLayers) -> Certificate:
     )
 
 
-def check_layer_sandwich(poset: PosetLayers, depth: int) -> Certificate:
+def check_layer_sandwich(poset: PosetLayers, field: FieldSpec, depth: int) -> Certificate:
     """With depth >= d + 2, the middle layer is sandwiched:
     rho_d <= rho_{d+1} <= rho_d + rho_{d+2}, so rho_{d+2} = 0 forces equality
     on the left.
@@ -191,6 +192,7 @@ def check_layer_sandwich(poset: PosetLayers, depth: int) -> Certificate:
     return Certificate(
         kind=LAYER_SANDWICH,
         t=d + 1,
+        field=field,
         numbers={"depth": depth, "rho_d": r_d, "rho_d_plus_1": r_d1, "rho_d_plus_2": r_d2},
         conclusions=conclusions,
     )
@@ -260,8 +262,6 @@ def counting_certificates(poset: PosetLayers) -> list[Certificate]:
 @dataclass
 class AnalysisReport:
     instance: QuotientInstance
-    d: int
-    hypothesis_flag: bool
     rho: dict[int, int]
     alpha: dict[int, int]
     certificates: list[Certificate]
@@ -310,12 +310,15 @@ def analyze(
     requested field and (unless the poset has more than ``sdepth_poset_cap``
     elements) the Stanley depth with witness, then verifies every
     conclusion against the exact depths; this is the only place a
-    certificate is judged.  The fields are
-    deduplicated, and an empty list rejected, by :func:`exact_depth_multi`;
-    the per-field checks run over the fields of its result.  Cross-check
-    failures are collected, never silently dropped; ``consistent`` is False
-    when any were found.
+    certificate is judged.  The fields are deduplicated, and an empty list
+    or an entry that is not a :class:`FieldSpec` rejected, by
+    :func:`exact_depth_multi`; the per-field checks run over the fields of
+    its result.  Cross-check failures are collected, never silently
+    dropped; ``consistent`` is False when any were found.  The cap is
+    ``None`` (no cap) or an int of at least 0, else :class:`InputError`.
     """
+    if sdepth_poset_cap is not None:
+        require_nonnegative_int("sdepth_poset_cap", sdepth_poset_cap)
     poset = enumerate_quotient(inst)
     depths_by_field = exact_depth_multi(poset, fields)
     depths = {f.label: v for f, v in depths_by_field.items()}
@@ -323,7 +326,7 @@ def analyze(
     certificates = counting_certificates(poset)
     findings = [c.warning for c in certificates if c.warning]
     for f, depth_f in depths_by_field.items():
-        certificates.append(replace(check_layer_sandwich(poset, depth_f), field=f))
+        certificates.append(check_layer_sandwich(poset, f, depth_f))
         certificates.extend(check_rank_split(poset, f, depth_f))
     inconsistencies = [v for cert in certificates for v in _conclusion_violations(cert, depths)]
 
@@ -345,8 +348,6 @@ def analyze(
 
     return AnalysisReport(
         instance=inst,
-        d=inst.d,
-        hypothesis_flag=inst.hypothesis_flag,
         rho=poset.rho_table(),
         alpha=poset.alpha_table(),
         certificates=certificates,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .certificates import SDEPTH_POSET_CAP, AnalysisReport, analyze, counting_certificates
-from .errors import InputError, InternalConsistencyError, ValidationError
+from .errors import InputError, InternalConsistencyError
 from .generate import default_params
 from .instancefile import instance_to_json, parse_instance
 from .linalg import GF2, RATIONALS, FieldSpec
@@ -39,7 +39,7 @@ def _read_instance(path: str) -> QuotientInstance:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc}") from None
     return parse_instance(text)
 
 
@@ -52,8 +52,8 @@ def _emit(doc: dict, pretty_lines: list[str] | None = None) -> None:
 def report_to_json(report: AnalysisReport) -> dict:
     return {
         "instance": instance_to_json(report.instance),
-        "d": report.d,
-        "hypothesis_flag": report.hypothesis_flag,
+        "d": report.instance.d,
+        "hypothesis_flag": report.instance.hypothesis_flag,
         "rho": {str(t): v for t, v in report.rho.items()},
         "alpha": {str(t): v for t, v in report.alpha.items()},
         "certificates": [c.to_json_dict() for c in report.certificates],
@@ -67,7 +67,8 @@ def report_to_json(report: AnalysisReport) -> dict:
 
 
 def _pretty_report(report: AnalysisReport) -> list[str]:
-    lines = [f"d = {report.d}   hypothesis: {'yes' if report.hypothesis_flag else 'NO'}"]
+    inst = report.instance
+    lines = [f"d = {inst.d}   hypothesis: {'yes' if inst.hypothesis_flag else 'NO'}"]
     lines.append("  t    rho  alpha")
     for t in sorted(report.rho):
         alpha = report.alpha.get(t)
@@ -139,7 +140,7 @@ def _cmd_strands(args) -> int:
         parts = [part.strip() for part in args.multidegree.split(",")]
         # ASCII digits only: int() would also take signs, underscores and non-ASCII digits.
         if not all(part.isascii() and part.isdigit() for part in parts):
-            raise ValidationError(f"bad multidegree {args.multidegree!r}; expected comma-separated indices")
+            raise InputError(f"bad multidegree {args.multidegree!r}; expected comma-separated indices")
         a = Monomial.from_support(n, [int(part) for part in parts])
     else:
         a = Monomial(n, (1 << n) - 1)

@@ -14,22 +14,22 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import InputError, ValidationError
+from .errors import InputError
 from .monomials import Monomial, QuotientInstance, check_variable_count, support_of, validate_pair
 
 
 def _parse_generators(n: int, raw: Any, key: str) -> list[int]:
     if not isinstance(raw, list):
-        raise ValidationError("expected a list of generator supports", location=key)
+        raise InputError("expected a list of generator supports", location=key)
     gens = []
     for idx, support in enumerate(raw):
         loc = f"{key}[{idx}]"
         if not isinstance(support, list):
-            raise ValidationError("expected a list of variable indices", location=loc)
+            raise InputError("expected a list of variable indices", location=loc)
         try:
             gens.append(Monomial.from_support(n, support).mask)
         except InputError as exc:
-            raise ValidationError(str(exc), location=loc) from None
+            raise InputError(str(exc), location=loc) from None
     return gens
 
 
@@ -38,14 +38,14 @@ def parse_instance(text: str) -> QuotientInstance:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from None
+        raise InputError(f"invalid JSON: {exc}") from None
     except RecursionError:
-        raise ValidationError("invalid JSON: nested too deeply") from None
+        raise InputError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
-        raise ValidationError("instance file must be a JSON object")
+        raise InputError("instance file must be a JSON object")
     for key in ("n", "I", "J"):
         if key not in doc:
-            raise ValidationError(f"missing key {key!r}")
+            raise InputError(f"missing key {key!r}")
     n = doc["n"]
     check_variable_count(n, location="n")
     gens_i = _parse_generators(n, doc["I"], "I")

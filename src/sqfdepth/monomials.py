@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, ValidationError
+from .errors import InputError
 
 # Every computation walks the 2^n supports of the ambient ring.
 MAX_VARIABLES = 20
@@ -35,9 +35,9 @@ MAX_VARIABLES = 20
 def check_variable_count(n: int, location: str | None = None) -> None:
     """Reject an ambient variable count that is not an int in 1..MAX_VARIABLES (bools included)."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError("n must be a positive integer", location=location)
+        raise InputError("n must be a positive integer", location=location)
     if n > MAX_VARIABLES:
-        raise ValidationError(f"n = {n} exceeds the supported limit of {MAX_VARIABLES}", location=location)
+        raise InputError(f"n = {n} exceeds the supported limit of {MAX_VARIABLES}", location=location)
 
 
 def support_of(mask: int) -> tuple[int, ...]:
@@ -138,18 +138,18 @@ def validate_pair(n: int, gens_i: Iterable[int], gens_j: Iterable[int]) -> Quoti
     gens_i, gens_j = list(gens_i), list(gens_j)
     for g in gens_i + gens_j:
         if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < 1 << n:
-            raise ValidationError(f"generator {g!r} is not a support mask below 2^{n}")
+            raise InputError(f"generator {g!r} is not a support mask below 2^{n}")
     gens_i = minimalize(gens_i)
     gens_j = minimalize(gens_j)
     for g in gens_j:
         if not any(h & ~g == 0 for h in gens_i):
-            raise ValidationError(f"generator {Monomial(n, g)} of J does not lie in I")
+            raise InputError(f"generator {Monomial(n, g)} of J does not lie in I")
     outside = [g for g in gens_i if not any(h & ~g == 0 for h in gens_j)]
     if not outside:
-        raise ValidationError("no square-free monomial lies in I but not in J (J = I or I = 0)")
+        raise InputError("no square-free monomial lies in I but not in J (J = I or I = 0)")
     d = min(g.bit_count() for g in outside)
     if d < 1:
-        raise ValidationError("the constant monomial lies in I \\ J; the quotient is not a proper module")
+        raise InputError("the constant monomial lies in I \\ J; the quotient is not a proper module")
     flag = all(g.bit_count() >= d + 1 for g in gens_j)
     return QuotientInstance(n=n, gens_i=gens_i, gens_j=gens_j, d=d, hypothesis_flag=flag)
 

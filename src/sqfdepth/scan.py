@@ -6,7 +6,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from .certificates import ALTERNATING_DROP, SDEPTH_POSET_CAP, analyze
-from .errors import InputError, InternalConsistencyError
+from .errors import InternalConsistencyError, require_nonnegative_int
 from .generate import GeneratorParams, random_instance
 from .instancefile import instance_to_json
 from .linalg import GF2, RATIONALS
@@ -20,9 +20,6 @@ class ScanRecord:
     depth: dict[str, int]
     sdepth: int | None
     min_fired_drop: int | None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -62,11 +59,12 @@ def conjecture_scan(
     depths; an inconsistent report raises :class:`InternalConsistencyError`
     naming the record.  Instances whose poset exceeds ``sdepth_poset_cap``
     (``None`` for no cap) skip the Stanley computation and are listed in
-    ``skipped_sdepth``.  A ``count`` that is not an int of at least 0
-    (bools included) raises :class:`InputError`.
+    ``skipped_sdepth``.  A ``count``, or a cap other than ``None``, that is
+    not an int of at least 0 raises :class:`InputError` before any draw.
     """
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise InputError(f"count must be a nonnegative int, got {count!r}")
+    require_nonnegative_int("count", count)
+    if sdepth_poset_cap is not None:
+        require_nonnegative_int("sdepth_poset_cap", sdepth_poset_cap)
     rng = random.Random(seed)
     records: list[ScanRecord] = []
     for index in range(count):

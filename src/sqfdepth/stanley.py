@@ -59,7 +59,7 @@ from .errors import InputError
 from .monomials import Monomial, QuotientInstance
 from .poset import PosetLayers, enumerate_quotient
 
-_FAILED_STATES_CAP = 1 << 18
+_FAILED_STATES_CAP = 1 << 18  # bounds the failed-cover memo's memory (about 20 MB when full)
 
 
 @dataclass(frozen=True)

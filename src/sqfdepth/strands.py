@@ -190,6 +190,9 @@ def exact_depth_multi(poset: PosetLayers, fields: Sequence[FieldSpec]) -> dict[F
     :func:`check_rank_split` on the same poset reuses the ranks of the full
     strand instead of eliminating them again.
     """
+    for f in fields:
+        if not isinstance(f, FieldSpec):
+            raise InputError(f"field {f!r} is not a FieldSpec")
     field_list = list(dict.fromkeys(fields))
     if not field_list:
         raise InputError("need at least one field")

@@ -45,7 +45,6 @@ from sqfdepth import (
     Monomial,
     QuotientInstance,
     StrandComplex,
-    ValidationError,
     build_strand,
     enumerate_quotient,
     exact_depth_multi,
@@ -574,7 +573,7 @@ def hypothesis_violating_instances(count=250, seed=404) -> list[QuotientInstance
                 gens_j.append(Monomial.from_support(n, tuple(g.support) + tuple(extra)))
         try:
             inst = validate_pair(n, [g.mask for g in gens_i], [g.mask for g in gens_j])
-        except ValidationError:
+        except InputError:
             continue
         out.append(inst)
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, product
 
 import pytest
@@ -289,7 +289,7 @@ def test_criterion_08_stanley_engine():
         report = conjecture_scan(default_params(n), count=500, seed=seed, sdepth_poset_cap=None)
         total += len(report.records)
         for index in report.stanley_violations:
-            findings.append((n, seed, index, report.records[index].to_json_dict()))
+            findings.append((n, seed, index, asdict(report.records[index])))
     assert total >= 1000
     for finding in findings:
         print(f"[acceptance] criterion 8 FINDING sdepth < depth: {finding}")

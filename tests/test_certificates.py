@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from sqfdepth import (
     ALTERNATING_DROP,
     GF2,
     RATIONALS,
+    FieldSpec,
     InputError,
     PosetLayers,
     analyze,
@@ -134,16 +136,16 @@ def test_layer_sandwich_golden_cases():
     free = validate_pair(3, [mask(3, 1)], [])
     depth = exact_depth(free)
     assert depth == 3
-    cert = check_layer_sandwich(enumerate_quotient(free), depth)
+    cert = check_layer_sandwich(enumerate_quotient(free), RATIONALS, depth)
     assert cert.fired
     assert cert.numbers["rho_d"] == 1 and cert.numbers["rho_d_plus_1"] == 2
 
     inst = paper_instance()
-    cert = check_layer_sandwich(enumerate_quotient(inst), exact_depth(inst))
+    cert = check_layer_sandwich(enumerate_quotient(inst), RATIONALS, exact_depth(inst))
     assert cert.fired  # 2 <= 4 <= 2 + 2, tight
 
     low = pure_powers_instance()
-    assert not check_layer_sandwich(enumerate_quotient(low), exact_depth(low)).fired
+    assert not check_layer_sandwich(enumerate_quotient(low), RATIONALS, exact_depth(low)).fired
 
 
 def test_layer_sandwich_fails_exactly_where_a_drop_fires():
@@ -161,7 +163,7 @@ def test_layer_sandwich_fails_exactly_where_a_drop_fires():
                 drops = [check_base_drop(poset)] + [c for c in check_alternating_drop(poset) if c.t == d + 1]
                 fails = any(c.fired for c in drops)
                 expected = Conclusion(DEPTH_AT_MOST, d + 1) if fails else Conclusion(INEQUALITY_HOLDS)
-                assert check_layer_sandwich(poset, d + 2).conclusions == (expected,), (n, d, counts)
+                assert check_layer_sandwich(poset, RATIONALS, d + 2).conclusions == (expected,), (n, d, counts)
                 cases += 1
     assert cases == 700
 
@@ -283,6 +285,29 @@ def test_rho_zero_outside_poset_range():
 def test_analyze_rejects_an_empty_field_list():
     with pytest.raises(InputError):
         analyze(paper_instance(), fields=())
+
+
+@pytest.mark.parametrize("fields", [("q",), (None,), [FieldSpec(3), "gf:2"], ([2],)])
+def test_analyze_rejects_a_field_that_is_not_a_field_spec(fields):
+    bad = next(f for f in fields if not isinstance(f, FieldSpec))
+    with pytest.raises(InputError, match=f"^field {re.escape(repr(bad))} is not a FieldSpec$"):
+        analyze(paper_instance(), fields=fields)
+
+
+@pytest.mark.parametrize("cap", [True, -1, 2.5, "40"])
+def test_analyze_rejects_a_cap_that_is_not_a_nonnegative_int(cap):
+    with pytest.raises(InputError, match=f"^sdepth_poset_cap must be a nonnegative int, got {re.escape(repr(cap))}$"):
+        analyze(paper_instance(), sdepth_poset_cap=cap)
+
+
+def test_analyze_accepts_no_cap_and_a_zero_cap():
+    inst = paper_instance()
+    size = len(enumerate_quotient(inst).elements())
+    uncapped = analyze(inst, sdepth_poset_cap=None)
+    assert uncapped.sdepth == 3
+    capped = analyze(inst, sdepth_poset_cap=0)
+    assert capped.sdepth is None and capped.witness is None
+    assert capped.findings == [f"stanley depth skipped: poset has {size} elements, cap is 0"]
 
 
 def test_analyze_ignores_repeated_fields():

@@ -20,9 +20,9 @@ from sqfdepth import (
     GF2,
     RATIONALS,
     Conclusion,
+    InputError,
     InternalConsistencyError,
     Monomial,
-    ValidationError,
     build_strand,
     check_alternating_drop,
     check_base_drop,
@@ -79,7 +79,7 @@ def test_parse_instance_errors():
         ('{"n":4,"I":[[1],[3]],"J":[[2,4]]}', "does not lie in I", None),
     ]
     for text, match, location in cases:
-        with pytest.raises(ValidationError, match=match) as info:
+        with pytest.raises(InputError, match=match) as info:
             parse_instance(text)
         assert info.value.location == location, text
 
@@ -462,7 +462,7 @@ def test_core_functions_given_a_poset_do_not_enumerate(monkeypatch):
         check_alternating_drop(poset)
         check_principal_gap(poset)
         counting_certificates(poset)
-        check_layer_sandwich(poset, depths[RATIONALS])
+        check_layer_sandwich(poset, RATIONALS, depths[RATIONALS])
         check_rank_split(poset, RATIONALS, depths[RATIONALS])
         check_rank_split(poset, GF2, depths[GF2])
         partition_exists(poset, inst.d)
@@ -526,12 +526,15 @@ def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys):
         (["depth", "--field", "gf:03"], PAPER.encode()),
         (["depth", "--field", "gf:003"], PAPER.encode()),
         (["depth", "--field", "gf:02"], PAPER.encode()),
+        (["analyze", "--max-sdepth-poset", "-1"], PAPER.encode()),
+        (["scan", "--n", "4", "--max-sdepth-poset", "-1"], None),
     ],
     ids=[
         "not-utf8", "nested-too-deeply", "negative-count", "n-past-limit",
         "multidegree-empty", "multidegree-only-comma", "multidegree-empty-part",
         "multidegree-underscore", "multidegree-sign", "field-underscore", "field-sign", "field-space",
         "field-non-ascii-digit", "field-leading-zero", "field-leading-zeros", "field-leading-zero-2",
+        "negative-sdepth-cap", "scan-negative-sdepth-cap",
     ],
 )
 def test_cli_rejects_outside_input_with_exit_2(tmp_path, capsys, argv, content):
@@ -598,22 +601,32 @@ CLI_COMMANDS = (
     doc=instance_documents(),
     multidegree=st.lists(st.integers(1, 6), max_size=6, unique=True),
     scan=st.tuples(st.integers(1, 6), st.integers(0, 5), st.integers(), st.integers(-1, 50)),
+    cap=st.integers(-2, 50),
 )
-def test_cli_fuzz_exits_0_with_json_or_2_with_an_error(tmp_path_factory, doc, multidegree, scan):
-    # A scan draws valid instances only, so it must exit 0 with one JSON object.
+def test_cli_fuzz_exits_0_with_json_or_2_with_an_error(tmp_path_factory, doc, multidegree, scan, cap):
+    # A scan draws valid instances only, so it must exit 0 with one JSON object,
+    # unless its Stanley cap is negative, which is bad input.
     scan_argv = ["scan", *(f"--{opt}={v}" for opt, v in zip(("n", "count", "seed", "max-sdepth-poset"), scan))]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(scan_argv) == 0, scan_argv
-    assert out.getvalue().count("\n") == 1, scan_argv
-    assert isinstance(json.loads(out.getvalue()), dict), scan_argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(scan_argv)
+    if scan[3] < 0:
+        assert (code, out.getvalue()) == (2, ""), scan_argv
+        assert err.getvalue().startswith("error: "), scan_argv
+    else:
+        assert code == 0, scan_argv
+        assert out.getvalue().count("\n") == 1, scan_argv
+        assert isinstance(json.loads(out.getvalue()), dict), scan_argv
     path = tmp_path_factory.mktemp("fuzz") / "instance.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     strands_at = ("strands", "--multidegree", ",".join(map(str, multidegree)))
-    for argv in CLI_COMMANDS + (strands_at,):
+    capped = ("analyze", "--max-sdepth-poset", str(cap))
+    for argv in CLI_COMMANDS + (strands_at, capped):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, str(path)])
+        if argv is capped and cap < 0:
+            assert code == 2, (argv, doc)
         if code == 0:
             assert isinstance(json.loads(out.getvalue()), dict), (argv, doc)
         else:

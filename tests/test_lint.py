@@ -85,6 +85,27 @@ def test_certificates_only_conclude():
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)] == []
 
 
+def test_the_package_raises_one_type_for_bad_input():
+    # Bad input raises InputError, a bug InternalConsistencyError, and an
+    # unreachable branch AssertionError.  A second bad-input type, or a bare
+    # ValueError, would split one contract across types that no caller tells
+    # apart.
+    allowed = {"InputError", "InternalConsistencyError", "AssertionError"}
+    raised, named = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if name not in allowed:
+                    raised.append(f"{path.name}:{node.lineno} {name}")
+        if "ValidationError" in text:
+            named.append(path.name)
+    assert raised == []
+    assert named == []
+
+
 def test_benchmark_coverage_spans_name_traced_functions(monkeypatch):
     # The benchmark's traced runs require a span for each name in REQUIRED_SPANS,
     # and its tracer wraps exactly the public functions defined in each module;

@@ -13,7 +13,6 @@ from sqfdepth import (
     GeneratorParams,
     InputError,
     Monomial,
-    ValidationError,
     canonical_key,
     default_params,
     instance_to_json,
@@ -83,7 +82,7 @@ def test_validate_pair_paper_instance():
 
 
 def test_validate_pair_rejects_j_outside_i():
-    with pytest.raises(ValidationError, match="x2\\*x4"):
+    with pytest.raises(InputError, match="x2\\*x4"):
         validate_pair(4, [mask(4, 1), mask(4, 3)], [mask(4, 2, 4)])
 
 
@@ -95,9 +94,9 @@ def test_validate_pair_zero_j():
 
 
 def test_validate_pair_rejects_equal_ideals():
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         validate_pair(3, [mask(3, 1)], [mask(3, 1)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         validate_pair(3, [], [])
 
 
@@ -111,7 +110,7 @@ def test_validate_pair_rejects_equal_ideals():
     ([None], []),
 ])
 def test_validate_pair_rejects_generators_that_are_not_masks(gens_i, gens_j):
-    with pytest.raises(ValidationError, match="is not a support mask below 2\\^3"):
+    with pytest.raises(InputError, match="is not a support mask below 2\\^3"):
         validate_pair(3, gens_i, gens_j)
 
 
@@ -131,7 +130,7 @@ N_ENTRY_POINTS = {
 def test_every_entry_point_applies_the_n_rule(n, entry):
     message = "n = 21 exceeds the supported limit of 20" if n == 21 else "n must be a positive integer"
     location = "n" if entry == "parse_instance" else None
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(InputError) as info:
         N_ENTRY_POINTS[entry](n)
     assert info.value.location == location
     assert str(info.value) == (message if location is None else f"n: {message}")
@@ -150,7 +149,7 @@ def test_monomial_rejects_masks_that_are_not_supports(value):
 
 
 def test_validate_pair_rejects_unit_ideal():
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         validate_pair(2, [0], [mask(2, 1)])
 
 

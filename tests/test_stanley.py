@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import signal
 import sys
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from sqfdepth import (
     IntervalPartition,
     conjecture_scan,
     enumerate_quotient,
+    parse_instance,
     partition_exists,
     random_instance,
     stanley_depth,
@@ -233,6 +235,35 @@ def test_stanley_depth_needs_no_recursion():
     assert verify_partition(inst, witness).ok
 
 
+# Draw 190 of random_instance(default_params(10), random.Random(1010)): |P| = 312,
+# d = 2.  Counting allows target 8 and the search must refute it, which it
+# does in under a second by skipping covers already proven to fail; without
+# that memo the same search was still running after two and a half minutes.
+FAILED_COVER_MEMO_N10 = (
+    '{"n": 10, "I": [[6, 7], [1, 9, 10], [2, 3, 4, 5], [4, 5, 7, 8, 10]], '
+    '"J": [[1, 5, 9, 10], [1, 2, 6, 7, 9], [2, 3, 4, 6, 7, 8, 9, 10], [1, 2, 3, 4, 5, 6, 7, 8, 10]]}'
+)
+
+
+def test_failed_cover_memo_keeps_a_refuted_target_fast():
+    inst = parse_instance(FAILED_COVER_MEMO_N10)
+    poset = enumerate_quotient(inst)
+    assert len(poset.elements()) == 312
+
+    def out_of_time(signum, frame):
+        raise TimeoutError("stanley_depth used more than 10 s of CPU")
+
+    handler = signal.signal(signal.SIGPROF, out_of_time)
+    timer = signal.setitimer(signal.ITIMER_PROF, 10.0)
+    try:
+        value, witness = stanley_depth(poset)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, *timer)
+        signal.signal(signal.SIGPROF, handler)
+    assert value == 7
+    assert verify_partition(inst, witness).ok
+
+
 def test_conjecture_scan_empty():
     report = conjecture_scan(GeneratorParams(n=4), count=0, seed=1)
     assert report.records == []
@@ -243,6 +274,19 @@ def test_conjecture_scan_empty():
 def test_conjecture_scan_rejects_a_count_that_is_not_a_nonnegative_int(count):
     with pytest.raises(InputError, match=f"count must be a nonnegative int, got {re.escape(repr(count))}$"):
         conjecture_scan(default_params(3), count=count, seed=0)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+@pytest.mark.parametrize("cap", [True, -1, 2.5, "40"])
+def test_conjecture_scan_rejects_a_cap_that_is_not_a_nonnegative_int(cap, count):
+    with pytest.raises(InputError, match=f"^sdepth_poset_cap must be a nonnegative int, got {re.escape(repr(cap))}$"):
+        conjecture_scan(default_params(3), count=count, seed=0, sdepth_poset_cap=cap)
+
+
+def test_conjecture_scan_zero_cap_skips_every_search():
+    report = conjecture_scan(default_params(3), count=5, seed=0, sdepth_poset_cap=0)
+    assert report.skipped_sdepth == [0, 1, 2, 3, 4]
+    assert [r.sdepth for r in report.records] == [None] * 5
 
 
 def test_conjecture_scan_small_run():

@@ -18,7 +18,6 @@ from sqfdepth import (
     check_rank_split,
     InputError,
     Monomial,
-    ValidationError,
     build_strand,
     enumerate_quotient,
     exact_depth_multi,
@@ -209,7 +208,7 @@ def test_strand_locality_against_restricted_instance():
                 continue
             try:
                 sub = _restrict(inst, a)
-            except ValidationError:
+            except InputError:
                 continue
             sub_strand = build_strand(enumerate_quotient(sub), (1 << sub.n) - 1)
             assert [len(strand.basis(i)) for i in strand.chain_degrees()] == [
