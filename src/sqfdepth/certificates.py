@@ -60,14 +60,6 @@ class Conclusion:
     value: int | None = None
     requires_depth_at_least: int | None = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.value is not None:
-            out["value"] = self.value
-        if self.requires_depth_at_least is not None:
-            out["requires_depth_at_least"] = self.requires_depth_at_least
-        return out
-
 
 @dataclass
 class Certificate:
@@ -81,17 +73,6 @@ class Certificate:
     @property
     def fired(self) -> bool:
         return bool(self.conclusions)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "fired": self.fired,
-            "t": self.t,
-            "field": None if self.field is None else self.field.label,
-            "numbers": dict(sorted(self.numbers.items())),
-            "conclusions": [c.to_json_dict() for c in self.conclusions],
-            "warning": self.warning,
-        }
 
 
 def check_lower_bound(inst: QuotientInstance) -> Certificate:
@@ -310,8 +291,8 @@ def analyze(
     requested field and (unless the poset has more than ``sdepth_poset_cap``
     elements) the Stanley depth with witness, then verifies every
     conclusion against the exact depths; this is the only place a
-    certificate is judged.  The fields are deduplicated, and an empty list
-    or an entry that is not a :class:`FieldSpec` rejected, by
+    certificate is judged.  The fields are deduplicated, and a non-iterable,
+    an empty list or an entry that is not a :class:`FieldSpec` rejected, by
     :func:`exact_depth_multi`; the per-field checks run over the fields of
     its result.  Cross-check failures are collected, never silently
     dropped; ``consistent`` is False when any were found.  The cap is

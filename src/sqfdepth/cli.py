@@ -1,9 +1,11 @@
 """Command-line interface: analyze, depth, bounds, sdepth, strands, scan.
 
 Reports are JSON on stdout; human-readable tables go to stderr under
---pretty.  Exit codes: 0 ok, 2 parse/validation error, 3 internal
-inconsistency (a cross-check between a fired certificate and the exact
-depth failed, which indicates a bug, not bad input).
+--pretty.  This module shapes every JSON document the CLI prints; the
+report types it reads have no JSON methods.  Exit codes: 0 ok, 2
+parse/validation error, 3 internal inconsistency (a cross-check between a
+fired certificate and the exact depth failed, which indicates a bug, not
+bad input).
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .certificates import SDEPTH_POSET_CAP, AnalysisReport, analyze, counting_certificates
+from .certificates import SDEPTH_POSET_CAP, AnalysisReport, Certificate, Conclusion, analyze, counting_certificates
 from .errors import InputError, InternalConsistencyError
 from .generate import default_params
 from .instancefile import instance_to_json, parse_instance
@@ -21,7 +24,7 @@ from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import Monomial, QuotientInstance
 from .poset import enumerate_quotient
 from .scan import conjecture_scan
-from .stanley import stanley_depth
+from .stanley import IntervalPartition, stanley_depth
 from .strands import build_strand, exact_depth_multi
 
 EXIT_OK = 0
@@ -49,17 +52,42 @@ def _emit(doc: dict, pretty_lines: list[str] | None = None) -> None:
         print("\n".join(pretty_lines), file=sys.stderr)
 
 
+def _instance_doc(inst: QuotientInstance) -> dict:
+    return {"instance": instance_to_json(inst), "d": inst.d}
+
+
+def _conclusion_json(c: Conclusion) -> dict:
+    out = {"kind": c.kind, "value": c.value, "requires_depth_at_least": c.requires_depth_at_least}
+    return {key: v for key, v in out.items() if v is not None}
+
+
+# Written out by hand: dataclasses.asdict takes over 15 times as long per certificate.
+def _certificate_json(c: Certificate) -> dict:
+    return {
+        "kind": c.kind,
+        "fired": c.fired,
+        "t": c.t,
+        "field": None if c.field is None else c.field.label,
+        "numbers": c.numbers,
+        "conclusions": [_conclusion_json(x) for x in c.conclusions],
+        "warning": c.warning,
+    }
+
+
+def _witness_json(witness: IntervalPartition) -> list[dict]:
+    return [{"bottom": list(iv.bottom.support), "top": list(iv.top.support)} for iv in witness.intervals]
+
+
 def report_to_json(report: AnalysisReport) -> dict:
     return {
-        "instance": instance_to_json(report.instance),
-        "d": report.instance.d,
+        **_instance_doc(report.instance),
         "hypothesis_flag": report.instance.hypothesis_flag,
         "rho": {str(t): v for t, v in report.rho.items()},
         "alpha": {str(t): v for t, v in report.alpha.items()},
-        "certificates": [c.to_json_dict() for c in report.certificates],
+        "certificates": [_certificate_json(c) for c in report.certificates],
         "depth": report.depth,
         "sdepth": report.sdepth,
-        "witness": None if report.witness is None else report.witness.to_json_list(),
+        "witness": None if report.witness is None else _witness_json(report.witness),
         "consistent": report.consistent,
         "inconsistencies": report.inconsistencies,
         "findings": report.findings,
@@ -99,11 +127,7 @@ def _cmd_depth(args) -> int:
     inst = _read_instance(args.instance)
     fields = _field_args(args.field, (RATIONALS,))
     depths = exact_depth_multi(enumerate_quotient(inst), fields)
-    _emit({
-        "instance": instance_to_json(inst),
-        "d": inst.d,
-        "depth": {f.label: v for f, v in depths.items()},
-    })
+    _emit({**_instance_doc(inst), "depth": {f.label: v for f, v in depths.items()}})
     return EXIT_OK
 
 
@@ -112,11 +136,10 @@ def _cmd_bounds(args) -> int:
     poset = enumerate_quotient(inst)
     certs = counting_certificates(poset)
     _emit({
-        "instance": instance_to_json(inst),
-        "d": inst.d,
+        **_instance_doc(inst),
         "rho": {str(t): v for t, v in poset.rho_table().items()},
         "alpha": {str(t): v for t, v in poset.alpha_table().items()},
-        "certificates": [c.to_json_dict() for c in certs],
+        "certificates": [_certificate_json(c) for c in certs],
     })
     return EXIT_OK
 
@@ -124,12 +147,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_sdepth(args) -> int:
     inst = _read_instance(args.instance)
     value, witness = stanley_depth(enumerate_quotient(inst))
-    _emit({
-        "instance": instance_to_json(inst),
-        "d": inst.d,
-        "sdepth": value,
-        "witness": witness.to_json_list(),
-    })
+    _emit({**_instance_doc(inst), "sdepth": value, "witness": _witness_json(witness)})
     return EXIT_OK
 
 
@@ -167,11 +185,8 @@ def _cmd_strands(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    params = default_params(args.n)
-    report = conjecture_scan(
-        params, count=args.count, seed=args.seed, sdepth_poset_cap=args.max_sdepth_poset
-    )
-    _emit(report.to_json_dict())
+    report = conjecture_scan(default_params(args.n), args.count, args.seed, args.max_sdepth_poset)
+    _emit(asdict(report))
     return EXIT_OK
 
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .certificates import ALTERNATING_DROP, SDEPTH_POSET_CAP, analyze
-from .errors import InternalConsistencyError, require_nonnegative_int
+from .errors import InputError, InternalConsistencyError, require_nonnegative_int
 from .generate import GeneratorParams, random_instance
 from .instancefile import instance_to_json
 from .linalg import GF2, RATIONALS
@@ -41,9 +41,6 @@ class ScanReport:
     bound_gap_findings: list[int]
     skipped_sdepth: list[int]
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def conjecture_scan(
     params: GeneratorParams,
@@ -59,9 +56,14 @@ def conjecture_scan(
     depths; an inconsistent report raises :class:`InternalConsistencyError`
     naming the record.  Instances whose poset exceeds ``sdepth_poset_cap``
     (``None`` for no cap) skip the Stanley computation and are listed in
-    ``skipped_sdepth``.  A ``count``, or a cap other than ``None``, that is
-    not an int of at least 0 raises :class:`InputError` before any draw.
+    ``skipped_sdepth``.  Before any draw, ``params`` that are not
+    :class:`GeneratorParams`, a non-int ``seed``, or a ``count`` or cap (other
+    than ``None``) that is not an int of at least 0 raise :class:`InputError`.
     """
+    if not isinstance(params, GeneratorParams):
+        raise InputError(f"params must be a GeneratorParams, got {params!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InputError(f"seed must be an int, got {seed!r}")
     require_nonnegative_int("count", count)
     if sdepth_poset_cap is not None:
         require_nonnegative_int("sdepth_poset_cap", sdepth_poset_cap)

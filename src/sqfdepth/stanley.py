@@ -77,12 +77,6 @@ class IntervalPartition:
     intervals: tuple[Interval, ...]
     sdepth_value: int
 
-    def to_json_list(self) -> list[dict]:
-        return [
-            {"bottom": list(iv.bottom.support), "top": list(iv.top.support)}
-            for iv in self.intervals
-        ]
-
 
 @dataclass(frozen=True)
 class PartitionCheck:
@@ -207,8 +201,11 @@ def partition_exists(poset: PosetLayers, k: int) -> IntervalPartition | None:
     a partition into intervals with tops of degree exactly k; the witness is
     those intervals followed by a singleton for each element of degree > k,
     in canonical order.  See the module docstring for why this is exact.
+    A k that is not an int, or is below d, raises :class:`InputError`.
     """
     inst = poset.instance
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InputError(f"target must be an int, got {k!r}")
     if k < inst.d:
         raise InputError(f"target {k} is below the minimal poset degree {inst.d}")
     if not _quotas_feasible(poset, k):

@@ -26,7 +26,7 @@ with lcm a.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, InternalConsistencyError
 from .linalg import GF2, FieldSpec, rank_bareiss, rank_gf2, rank_mod_p
@@ -188,12 +188,16 @@ def exact_depth_multi(poset: PosetLayers, fields: Sequence[FieldSpec]) -> dict[F
 
     Every rank computed is stored in ``poset.ranks``, so a later
     :func:`check_rank_split` on the same poset reuses the ranks of the full
-    strand instead of eliminating them again.
+    strand instead of eliminating them again.  ``fields`` that is not an
+    iterable of :class:`FieldSpec`, or is empty, raises :class:`InputError`.
     """
-    for f in fields:
+    if not isinstance(fields, Iterable):
+        raise InputError(f"fields must be an iterable of FieldSpec, got {fields!r}")
+    field_list = list(fields)
+    for f in field_list:
         if not isinstance(f, FieldSpec):
             raise InputError(f"field {f!r} is not a FieldSpec")
-    field_list = list(dict.fromkeys(fields))
+    field_list = list(dict.fromkeys(field_list))
     if not field_list:
         raise InputError("need at least one field")
     inst = poset.instance

@@ -23,6 +23,7 @@ from sqfdepth import (
     check_principal_gap,
     check_rank_split,
     enumerate_quotient,
+    exact_depth_multi,
     partition_exists,
     random_instance,
     validate_pair,
@@ -292,6 +293,22 @@ def test_analyze_rejects_a_field_that_is_not_a_field_spec(fields):
     bad = next(f for f in fields if not isinstance(f, FieldSpec))
     with pytest.raises(InputError, match=f"^field {re.escape(repr(bad))} is not a FieldSpec$"):
         analyze(paper_instance(), fields=fields)
+
+
+@pytest.mark.parametrize("fields", [GF2, FieldSpec(3), 3, None])
+def test_a_field_list_that_is_not_iterable_is_rejected(fields):
+    # A bare FieldSpec was iterated and died with a TypeError.
+    message = f"^fields must be an iterable of FieldSpec, got {re.escape(repr(fields))}$"
+    with pytest.raises(InputError, match=message):
+        analyze(paper_instance(), fields=fields)
+    with pytest.raises(InputError, match=message):
+        exact_depth_multi(enumerate_quotient(paper_instance()), fields)
+
+
+def test_a_field_generator_is_read_once():
+    # The entry check used to exhaust a generator, which then read as no fields.
+    poset = enumerate_quotient(paper_instance())
+    assert exact_depth_multi(poset, (f for f in (RATIONALS, GF2, GF2))) == {RATIONALS: 3, GF2: 3}
 
 
 @pytest.mark.parametrize("cap", [True, -1, 2.5, "40"])

@@ -9,7 +9,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,7 +363,7 @@ def test_stanley_depth_below_depth_is_a_finding_not_an_inconsistency(tmp_path, c
 
     code, out, err = run_cli(tmp_path, capsys, "scan", "--n", "3", "--count", "8", "--seed", "1")
     assert (code, err) == (0, "")
-    assert json.loads(out) == scan.to_json_dict()
+    assert json.loads(out) == asdict(scan)
     code, out, err = run_cli(tmp_path, capsys, "analyze", instance_text=PAPER)
     assert (code, err) == (0, "")
     assert json.loads(out)["findings"] == report.findings

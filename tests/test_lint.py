@@ -106,6 +106,27 @@ def test_the_package_raises_one_type_for_bad_input():
     assert named == []
 
 
+def test_the_cli_is_the_one_json_writer():
+    # cli.py shapes every document the package prints, and instancefile.py
+    # reads and writes the instance file format.  A JSON method on a report
+    # type, or an asdict call elsewhere, would be a second writer of a shape.
+    importers, writers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and "json" in {a.name for a in node.names} or (
+                isinstance(node, ast.ImportFrom) and node.module == "json"
+            ):
+                importers.append(path.name)
+            if path.name != "cli.py" and (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("to_json")
+                or isinstance(node, ast.Call) and "asdict" in _referenced(node.func)
+                or isinstance(node, ast.alias) and node.name == "asdict"
+            ):
+                writers.append(f"{path.name}:{node.lineno} {getattr(node, 'name', 'asdict')}")
+    assert importers == ["cli.py", "instancefile.py"]
+    assert writers == []
+
+
 def test_benchmark_coverage_spans_name_traced_functions(monkeypatch):
     # The benchmark's traced runs require a span for each name in REQUIRED_SPANS,
     # and its tracer wraps exactly the public functions defined in each module;

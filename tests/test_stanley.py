@@ -131,6 +131,13 @@ def test_partition_exists_golden():
         partition_exists(enumerate_quotient(inst), 0)
 
 
+@pytest.mark.parametrize("k", [True, False, 2.5, "3", None])
+def test_partition_exists_rejects_a_target_that_is_not_an_int(k):
+    # k=True passed the degree check and came back as a witness of value True.
+    with pytest.raises(InputError, match=f"^target must be an int, got {re.escape(repr(k))}$"):
+        partition_exists(enumerate_quotient(paper_instance()), k)
+
+
 def test_partition_exists_at_floor_is_always_feasible():
     for inst in fuzz_instances():
         found = partition_exists(enumerate_quotient(inst), inst.d)
@@ -283,6 +290,24 @@ def test_conjecture_scan_rejects_a_cap_that_is_not_a_nonnegative_int(cap, count)
         conjecture_scan(default_params(3), count=count, seed=0, sdepth_poset_cap=cap)
 
 
+@pytest.mark.parametrize("count", [0, 3])
+@pytest.mark.parametrize("seed", [[1], None, "abc", 2.5, True])
+def test_conjecture_scan_rejects_a_seed_that_is_not_an_int(seed, count):
+    with pytest.raises(InputError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+        conjecture_scan(default_params(3), count=count, seed=seed)
+
+
+@pytest.mark.parametrize("params", [3, None, "3", {"n": 3}])
+def test_conjecture_scan_rejects_params_that_are_not_generator_params(params):
+    with pytest.raises(InputError, match=f"^params must be a GeneratorParams, got {re.escape(repr(params))}$"):
+        conjecture_scan(params, count=0, seed=1)
+
+
+def test_conjecture_scan_takes_a_negative_seed():
+    report = conjecture_scan(default_params(3), count=3, seed=-7)
+    assert report.seed == -7 and len(report.records) == 3
+
+
 def test_conjecture_scan_zero_cap_skips_every_search():
     report = conjecture_scan(default_params(3), count=5, seed=0, sdepth_poset_cap=0)
     assert report.skipped_sdepth == [0, 1, 2, 3, 4]
@@ -301,7 +326,7 @@ def test_conjecture_scan_small_run():
 def test_conjecture_scan_deterministic():
     a = conjecture_scan(default_params(5), count=30, seed=4, sdepth_poset_cap=None)
     b = conjecture_scan(default_params(5), count=30, seed=4, sdepth_poset_cap=None)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert a == b
 
 
 def test_conjecture_scan_respects_poset_cap():

@@ -24,6 +24,7 @@ from sqfdepth import (
     random_instance,
     validate_pair,
 )
+from sqfdepth.certificates import RANK_IDENTITY_HOLDS, Conclusion
 from sqfdepth.generate import default_params
 from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
 from sqfdepth.monomials import support_of
@@ -291,7 +292,7 @@ def test_each_poset_owns_its_rank_memo():
 def _fresh_results(inst, fields):
     poset = enumerate_quotient(inst)
     depths = exact_depth_multi(poset, fields)
-    return depths, [c.to_json_dict() for f in fields for c in check_rank_split(poset, f, depths[f])]
+    return depths, [c for f in fields for c in check_rank_split(poset, f, depths[f])]
 
 
 def test_a_run_on_one_poset_leaves_the_next_one_fresh(monkeypatch):
@@ -315,11 +316,11 @@ def test_a_run_on_one_poset_leaves_the_next_one_fresh(monkeypatch):
         assert poset_a.ranks
         poset_b = enumerate_quotient(inst_b)
         depths = exact_depth_multi(poset_b, SCREEN_FIELDS)
-        splits = [c.to_json_dict() for f in SCREEN_FIELDS for c in check_rank_split(poset_b, f, depths[f])]
+        splits = [c for f in SCREEN_FIELDS for c in check_rank_split(poset_b, f, depths[f])]
         assert (depths, splits) == expected, (inst_a, inst_b)
     depths, splits = _fresh_results(second, (RATIONALS, GF2))
     assert depths == {RATIONALS: 3, GF2: 3}
-    assert [c["conclusions"] for c in splits] == ([[{"kind": "rank_identity_holds"}]] * 2 + [[]]) * 2
+    assert [c.conclusions for c in splits] == ([(Conclusion(RANK_IDENTITY_HOLDS),)] * 2 + [()]) * 2
 
 
 def _taylor_allows(inst, a, i, slack=0):
@@ -360,8 +361,8 @@ def test_rank_split_same_with_shared_or_fresh_cache():
         poset = enumerate_quotient(inst)
         depths = exact_depth_multi(poset, SCREEN_FIELDS)
         for f in SCREEN_FIELDS:
-            shared = [c.to_json_dict() for c in check_rank_split(poset, f, depths[f])]
-            fresh = [c.to_json_dict() for c in check_rank_split(enumerate_quotient(inst), f, depths[f])]
+            shared = check_rank_split(poset, f, depths[f])
+            fresh = check_rank_split(enumerate_quotient(inst), f, depths[f])
             assert shared == fresh, (inst, f)
 
 
