@@ -20,7 +20,7 @@ from .certificates import (
     counting_certificates,
 )
 from .errors import InputError, InternalConsistencyError
-from .generate import GeneratorParams, default_params, random_instance
+from .generate import default_params, random_instance
 from .instancefile import instance_to_json, parse_instance
 from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import Monomial, QuotientInstance, canonical_key, minimalize, validate_pair
@@ -43,7 +43,6 @@ __all__ = [
     "Conclusion",
     "FieldSpec",
     "GF2",
-    "GeneratorParams",
     "InputError",
     "InternalConsistencyError",
     "Interval",

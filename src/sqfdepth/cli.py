@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .certificates import SDEPTH_POSET_CAP, AnalysisReport, Certificate, Conclusion, analyze, counting_certificates
 from .errors import InputError, InternalConsistencyError
-from .generate import default_params
 from .instancefile import instance_to_json, parse_instance
 from .linalg import GF2, RATIONALS, FieldSpec
 from .monomials import Monomial, QuotientInstance
@@ -185,8 +184,8 @@ def _cmd_strands(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = conjecture_scan(default_params(args.n), args.count, args.seed, args.max_sdepth_poset)
-    _emit(asdict(report))
+    report = conjecture_scan(args.n, args.count, args.seed, args.max_sdepth_poset)
+    _emit({**asdict(report), "records": [{**asdict(r), **_instance_doc(r.instance)} for r in report.records]})
     return EXIT_OK
 
 

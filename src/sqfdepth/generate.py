@@ -8,33 +8,25 @@ I, and satisfies the standing degree hypothesis on J by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .monomials import QuotientInstance, check_variable_count, minimalize, validate_pair
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    """The ambient variable count of the random instance generator."""
-
-    n: int
-
-    def __post_init__(self):
-        check_variable_count(self.n)
+def default_params(n: int) -> int:
+    """The generator's ambient variable count n, checked by the ``monomials`` rule."""
+    check_variable_count(n)
+    return n
 
 
-def default_params(n: int) -> GeneratorParams:
-    return GeneratorParams(n)
-
-
-def random_instance(params: GeneratorParams, rng: random.Random) -> QuotientInstance:
-    """Draw one validated instance; deterministic given the rng state.
+def random_instance(n: int, rng: random.Random) -> QuotientInstance:
+    """Draw one validated instance in n variables; deterministic given the rng state.
 
     I has 1..min(4, n) generators, each of degree 1..max(1, n-1).  J has
     0..4 draws, each a multiple of a random minimal generator g of I of
-    degree deg g + 1..n; a draw on a g of degree n is skipped.
+    degree deg g + 1..n; a draw on a g of degree n is skipped.  An n outside
+    the ``monomials`` rule raises :class:`InputError` before the first draw.
     """
-    n = params.n
+    check_variable_count(n)
     variables = range(1, n + 1)
     gens_i = []
     for _ in range(rng.randint(1, min(4, n))):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InputError
 from .monomials import QuotientInstance, ideal_supports
 
 # Strand ranks of one poset, keyed by (multidegree mask, chain degree, field
@@ -67,6 +68,9 @@ def enumerate_quotient(inst: QuotientInstance) -> PosetLayers:
     """Exactly enumerate {m square-free : m in I, m not in J}, stratified by degree.
 
     Each layer is :func:`ideal_supports` of its degree, already in canonical order.
+    An argument that is not a :class:`QuotientInstance` raises :class:`InputError`.
     """
+    if not isinstance(inst, QuotientInstance):
+        raise InputError(f"expected a QuotientInstance, got {inst!r}")
     rows = (ideal_supports(inst.n, t, inst.gens_i, inst.gens_j) for t in range(inst.d, inst.n + 1))
     return PosetLayers(inst, tuple(map(tuple, rows)))

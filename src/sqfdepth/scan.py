@@ -7,16 +7,15 @@ from dataclasses import dataclass
 
 from .certificates import ALTERNATING_DROP, SDEPTH_POSET_CAP, analyze
 from .errors import InputError, InternalConsistencyError, require_nonnegative_int
-from .generate import GeneratorParams, random_instance
-from .instancefile import instance_to_json
+from .generate import default_params, random_instance
 from .linalg import GF2, RATIONALS
+from .monomials import QuotientInstance
 
 
 @dataclass
 class ScanRecord:
     index: int
-    instance: dict
-    d: int
+    instance: QuotientInstance
     depth: dict[str, int]
     sdepth: int | None
     min_fired_drop: int | None
@@ -43,25 +42,25 @@ class ScanReport:
 
 
 def conjecture_scan(
-    params: GeneratorParams,
+    n: int,
     count: int,
     seed: int,
     sdepth_poset_cap: int | None = SDEPTH_POSET_CAP,
 ) -> ScanReport:
-    """Generate ``count`` instances, run :func:`analyze` on each over Q and
-    GF(2), and compare Stanley depth with depth and the drop bounds.
+    """Generate ``count`` instances in ``n`` variables, run :func:`analyze` on
+    each over Q and GF(2), and compare Stanley depth with depth and the drop
+    bounds.
 
     Fully reproducible from the seed.  Each record is read off its analysis
     report, so every fired certificate is cross-checked against the exact
     depths; an inconsistent report raises :class:`InternalConsistencyError`
     naming the record.  Instances whose poset exceeds ``sdepth_poset_cap``
     (``None`` for no cap) skip the Stanley computation and are listed in
-    ``skipped_sdepth``.  Before any draw, ``params`` that are not
-    :class:`GeneratorParams`, a non-int ``seed``, or a ``count`` or cap (other
-    than ``None``) that is not an int of at least 0 raise :class:`InputError`.
+    ``skipped_sdepth``.  Before any draw, an ``n`` outside the ``monomials``
+    rule, a non-int ``seed``, or a ``count`` or cap (other than ``None``) that
+    is not an int of at least 0 raise :class:`InputError`.
     """
-    if not isinstance(params, GeneratorParams):
-        raise InputError(f"params must be a GeneratorParams, got {params!r}")
+    default_params(n)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InputError(f"seed must be an int, got {seed!r}")
     require_nonnegative_int("count", count)
@@ -70,7 +69,7 @@ def conjecture_scan(
     rng = random.Random(seed)
     records: list[ScanRecord] = []
     for index in range(count):
-        inst = random_instance(params, rng)
+        inst = random_instance(n, rng)
         report = analyze(inst, (RATIONALS, GF2), sdepth_poset_cap)
         if not report.consistent:
             raise InternalConsistencyError(f"scan record {index}: " + "; ".join(report.inconsistencies))
@@ -78,8 +77,7 @@ def conjecture_scan(
         records.append(
             ScanRecord(
                 index=index,
-                instance=instance_to_json(inst),
-                d=inst.d,
+                instance=inst,
                 depth=report.depth,
                 sdepth=report.sdepth,
                 min_fired_drop=min(fired_ts, default=None),
@@ -87,7 +85,7 @@ def conjecture_scan(
         )
     computed = [r for r in records if r.sdepth is not None]
     return ScanReport(
-        n=params.n,
+        n=n,
         count=count,
         seed=seed,
         records=records,

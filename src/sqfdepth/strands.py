@@ -99,8 +99,13 @@ def build_strand(poset: PosetLayers, a: int) -> StrandComplex:
     of degree deg(a) - i dividing a.  An empty strand (all bases empty) is a
     valid result.  Only the bases are built here; see
     :meth:`StrandComplex.entries` for the differentials.  The strand shares
-    the poset's rank memo, so its ranks are computed once per poset.
+    the poset's rank memo, so its ranks are computed once per poset.  An
+    ``a`` that is not an int in 0..2^n - 1 (bools included) raises
+    :class:`InputError`.
     """
+    n = poset.instance.n
+    if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < 1 << n:
+        raise InputError(f"multidegree {a!r} is not a support mask below 2^{n}")
     size = a.bit_count()
     bases = tuple(
         tuple(m for m in poset.layer(size - i) if m & ~a == 0)

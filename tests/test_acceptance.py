@@ -29,7 +29,6 @@ from sqfdepth import (
     validate_pair,
     verify_partition,
 )
-from sqfdepth.generate import default_params
 from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
 
 from oracles import (
@@ -110,10 +109,9 @@ def _independent_strand_pass(inst, data: SweepData, depths: dict[str, int]) -> N
 def sweep() -> SweepData:
     data = SweepData()
     for n in SWEEP_NS:
-        params = default_params(n)
         rng = random.Random(20_000 + n)
         for _ in range(SWEEP_PER_N):
-            inst = random_instance(params, rng)
+            inst = random_instance(n, rng)
             data.instances += 1
 
             t0 = time.monotonic()
@@ -274,9 +272,8 @@ def test_criterion_08_stanley_engine():
     rng = random.Random(81)
     small_checked = 0
     for n in (3, 4):
-        params = default_params(n)
         for _ in range(60):
-            cand = random_instance(params, rng)
+            cand = random_instance(n, rng)
             if len(poset_elements(cand)) <= 12:
                 got, _ = stanley_depth(enumerate_quotient(cand))
                 assert got == brute_stanley_depth(cand), f"{cand}"
@@ -286,7 +283,7 @@ def test_criterion_08_stanley_engine():
     findings = []
     total = 0
     for n, seed in ((5, 501), (6, 601)):
-        report = conjecture_scan(default_params(n), count=500, seed=seed, sdepth_poset_cap=None)
+        report = conjecture_scan(n, count=500, seed=seed, sdepth_poset_cap=None)
         total += len(report.records)
         for index in report.stanley_violations:
             findings.append((n, seed, index, asdict(report.records[index])))
@@ -304,9 +301,8 @@ def test_criterion_09_square_free_concentration():
     checked_instances = 0
     checked_multidegrees = 0
     for n in (3, 4):
-        params = default_params(n)
         for _ in range(100):
-            inst = random_instance(params, rng)
+            inst = random_instance(n, rng)
             checked_instances += 1
             for exponents in product(range(3), repeat=n):
                 if max(exponents) < 2:

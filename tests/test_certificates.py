@@ -29,7 +29,6 @@ from sqfdepth import (
     validate_pair,
 )
 from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS, INEQUALITY_HOLDS, Conclusion
-from sqfdepth.generate import default_params
 
 from oracles import (
     all_ideals,
@@ -49,8 +48,7 @@ def fuzz_instances(n_values=(3, 4, 5), per_n=20, seed=77):
     out = []
     for n in n_values:
         rng = random.Random(seed + n)
-        params = default_params(n)
-        out.extend(random_instance(params, rng) for _ in range(per_n))
+        out.extend(random_instance(n, rng) for _ in range(per_n))
     return out
 
 

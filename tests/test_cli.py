@@ -87,9 +87,8 @@ def test_parse_instance_errors():
 def test_serialize_roundtrip_on_fuzz():
     rng = random.Random(3)
     for n in (3, 4, 5, 6):
-        params = default_params(n)
         for _ in range(20):
-            inst = random_instance(params, rng)
+            inst = random_instance(n, rng)
             assert parse_instance(serialize_instance(inst)) == inst
 
 
@@ -301,7 +300,7 @@ def test_scan_cross_checks_every_fired_certificate(tmp_path, capsys, monkeypatch
 
     patch_everywhere(monkeypatch, original, wrong)
     with pytest.raises(InternalConsistencyError, match=r"^scan record 0: certificate base_drop"):
-        conjecture_scan(default_params(4), count=3, seed=1)
+        conjecture_scan(4, count=3, seed=1)
     assert calls == [4]
     code, out, err = run_cli(tmp_path, capsys, "scan", "--n", "4", "--count", "3", "--seed", "1")
     assert code == 3
@@ -355,7 +354,7 @@ def test_stanley_depth_below_depth_is_a_finding_not_an_inconsistency(tmp_path, c
     assert report.sdepth == 1
     assert "stanley depth 1 is below depth 3; conjecture counterexample candidate" in report.findings
 
-    scan = conjecture_scan(default_params(3), count=8, seed=1)
+    scan = conjecture_scan(3, count=8, seed=1)
     assert [max(r.depth.values()) for r in scan.records] == [3, 2, 2, 2, 2, 2, 2, 1]
     assert [r.min_fired_drop for r in scan.records] == [None, 2, None, 2, 2, None, 2, 1]
     assert scan.stanley_violations == [0, 1, 2, 3, 4, 5, 6]
@@ -363,7 +362,8 @@ def test_stanley_depth_below_depth_is_a_finding_not_an_inconsistency(tmp_path, c
 
     code, out, err = run_cli(tmp_path, capsys, "scan", "--n", "3", "--count", "8", "--seed", "1")
     assert (code, err) == (0, "")
-    assert json.loads(out) == asdict(scan)
+    records = [{**asdict(r), "instance": instance_to_json(r.instance), "d": r.instance.d} for r in scan.records]
+    assert json.loads(out) == {**asdict(scan), "records": records}
     code, out, err = run_cli(tmp_path, capsys, "analyze", instance_text=PAPER)
     assert (code, err) == (0, "")
     assert json.loads(out)["findings"] == report.findings

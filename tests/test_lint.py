@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import sqfdepth
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sqfdepth"
+TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
 
@@ -193,3 +195,31 @@ def test_the_rank_memo_has_one_owner():
                     builders.append(f"{path.name}:{owner}")
     assert params == []
     assert builders == ["strands.py:build_strand"]
+
+
+def test_sources_parse_at_the_python_floor():
+    # The package and its tests must parse on the oldest Python that
+    # pyproject.toml admits: syntax newer than that floor (except*, type
+    # aliases, PEP 695 generics) would break an install the metadata allows.
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert floor
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    failures = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, int(floor[1])))
+        except SyntaxError as exc:
+            failures.append(f"{path.name}:{exc.lineno} {exc.msg}")
+    assert failures == []
+
+
+def test_only_the_cli_writes_instance_documents():
+    # Library results hold library values (a scan record holds its
+    # QuotientInstance); cli.py turns them into instance documents at the edge.
+    callers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "instance_to_json" in _referenced(node.func)
+    }
+    assert callers == {"cli.py"}

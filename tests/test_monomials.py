@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sqfdepth import (
-    GeneratorParams,
     InputError,
     Monomial,
     canonical_key,
-    default_params,
+    conjecture_scan,
     instance_to_json,
     minimalize,
     parse_instance,
@@ -120,13 +119,14 @@ N_ENTRY_POINTS = {
     "validate_pair": lambda n: validate_pair(n, [0b001], []),
     "Monomial": lambda n: Monomial(n, 0b001),
     "Monomial.from_support": lambda n: Monomial.from_support(n, [1]),
-    "GeneratorParams": GeneratorParams,
+    "random_instance": lambda n: random_instance(n, random.Random(0)),
+    "conjecture_scan": lambda n: conjecture_scan(n, count=0, seed=1),
     "parse_instance": lambda n: parse_instance(json.dumps({"n": n, "I": [[1]], "J": []})),
 }
 
 
 @pytest.mark.parametrize("entry", list(N_ENTRY_POINTS))
-@pytest.mark.parametrize("n", [0, -2, 21, 3.0, 2.5, True, "3", None])
+@pytest.mark.parametrize("n", [0, -2, 21, 3.0, 2.5, True, "3", None, {"n": 3}])
 def test_every_entry_point_applies_the_n_rule(n, entry):
     message = "n = 21 exceeds the supported limit of 20" if n == 21 else "n must be a positive integer"
     location = "n" if entry == "parse_instance" else None
@@ -243,7 +243,7 @@ def test_minimalize_output_is_a_canonical_antichain_with_the_same_span(gens):
 
 def test_instances_hold_canonical_generator_masks_and_round_trip():
     rng = random.Random(5)
-    drawn = [random_instance(default_params(n), rng) for n in range(1, 9) for _ in range(25)]
+    drawn = [random_instance(n, rng) for n in range(1, 9) for _ in range(25)]
     for inst in drawn + hypothesis_violating_instances() + [rp2_cone_instance()]:
         parsed = parse_instance(json.dumps(instance_to_json(inst)))
         assert parsed == inst

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from sqfdepth import (
+    InputError,
+    analyze,
     canonical_key,
     enumerate_quotient,
     random_instance,
     validate_pair,
 )
-from sqfdepth.generate import default_params
 
 from oracles import alpha_table, ideal_contains, mask, paper_instance, paper_instance_jprime, rho, supports
 
@@ -19,8 +22,7 @@ def fuzz_instances(n_values=(3, 4, 5, 6), per_n=25, seed=7):
     out = []
     for n in n_values:
         rng = random.Random(seed * 100 + n)
-        params = default_params(n)
-        out.extend(random_instance(params, rng) for _ in range(per_n))
+        out.extend(random_instance(n, rng) for _ in range(per_n))
     return out
 
 
@@ -102,3 +104,11 @@ def test_alpha_recurrence_agrees_with_closed_form():
             else:
                 assert closed == rho(inst, j) - previous
             previous = closed
+
+
+@pytest.mark.parametrize("value", [None, 5, "x", {"n": 4, "I": [[1]], "J": []}])
+def test_enumerate_quotient_and_analyze_reject_what_is_not_an_instance(value):
+    for entry in (enumerate_quotient, analyze):
+        with pytest.raises(InputError) as info:
+            entry(value)
+        assert str(info.value) == f"expected a QuotientInstance, got {value!r}"

@@ -15,6 +15,7 @@ from sqfdepth import (
     InputError,
     Interval,
     IntervalPartition,
+    analyze,
     conjecture_scan,
     enumerate_quotient,
     parse_instance,
@@ -24,7 +25,6 @@ from sqfdepth import (
     validate_pair,
     verify_partition,
 )
-from sqfdepth.generate import GeneratorParams, default_params
 
 from oracles import (
     brute_stanley_depth,
@@ -46,8 +46,7 @@ def fuzz_instances(n_values=(3, 4, 5), per_n=15, seed=55):
     out = []
     for n in n_values:
         rng = random.Random(seed + n)
-        params = default_params(n)
-        out.extend(random_instance(params, rng) for _ in range(per_n))
+        out.extend(random_instance(n, rng) for _ in range(per_n))
     return out
 
 
@@ -242,7 +241,7 @@ def test_stanley_depth_needs_no_recursion():
     assert verify_partition(inst, witness).ok
 
 
-# Draw 190 of random_instance(default_params(10), random.Random(1010)): |P| = 312,
+# Draw 190 of random_instance(10, random.Random(1010)): |P| = 312,
 # d = 2.  Counting allows target 8 and the search must refute it, which it
 # does in under a second by skipping covers already proven to fail; without
 # that memo the same search was still running after two and a half minutes.
@@ -272,7 +271,7 @@ def test_failed_cover_memo_keeps_a_refuted_target_fast():
 
 
 def test_conjecture_scan_empty():
-    report = conjecture_scan(GeneratorParams(n=4), count=0, seed=1)
+    report = conjecture_scan(4, count=0, seed=1)
     assert report.records == []
     assert report.stanley_violations == []
 
@@ -280,42 +279,36 @@ def test_conjecture_scan_empty():
 @pytest.mark.parametrize("count", [-1, 2.5, True, "3", None])
 def test_conjecture_scan_rejects_a_count_that_is_not_a_nonnegative_int(count):
     with pytest.raises(InputError, match=f"count must be a nonnegative int, got {re.escape(repr(count))}$"):
-        conjecture_scan(default_params(3), count=count, seed=0)
+        conjecture_scan(3, count=count, seed=0)
 
 
 @pytest.mark.parametrize("count", [0, 3])
 @pytest.mark.parametrize("cap", [True, -1, 2.5, "40"])
 def test_conjecture_scan_rejects_a_cap_that_is_not_a_nonnegative_int(cap, count):
     with pytest.raises(InputError, match=f"^sdepth_poset_cap must be a nonnegative int, got {re.escape(repr(cap))}$"):
-        conjecture_scan(default_params(3), count=count, seed=0, sdepth_poset_cap=cap)
+        conjecture_scan(3, count=count, seed=0, sdepth_poset_cap=cap)
 
 
 @pytest.mark.parametrize("count", [0, 3])
 @pytest.mark.parametrize("seed", [[1], None, "abc", 2.5, True])
 def test_conjecture_scan_rejects_a_seed_that_is_not_an_int(seed, count):
     with pytest.raises(InputError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
-        conjecture_scan(default_params(3), count=count, seed=seed)
-
-
-@pytest.mark.parametrize("params", [3, None, "3", {"n": 3}])
-def test_conjecture_scan_rejects_params_that_are_not_generator_params(params):
-    with pytest.raises(InputError, match=f"^params must be a GeneratorParams, got {re.escape(repr(params))}$"):
-        conjecture_scan(params, count=0, seed=1)
+        conjecture_scan(3, count=count, seed=seed)
 
 
 def test_conjecture_scan_takes_a_negative_seed():
-    report = conjecture_scan(default_params(3), count=3, seed=-7)
+    report = conjecture_scan(3, count=3, seed=-7)
     assert report.seed == -7 and len(report.records) == 3
 
 
 def test_conjecture_scan_zero_cap_skips_every_search():
-    report = conjecture_scan(default_params(3), count=5, seed=0, sdepth_poset_cap=0)
+    report = conjecture_scan(3, count=5, seed=0, sdepth_poset_cap=0)
     assert report.skipped_sdepth == [0, 1, 2, 3, 4]
     assert [r.sdepth for r in report.records] == [None] * 5
 
 
 def test_conjecture_scan_small_run():
-    report = conjecture_scan(default_params(4), count=50, seed=9, sdepth_poset_cap=None)
+    report = conjecture_scan(4, count=50, seed=9, sdepth_poset_cap=None)
     assert len(report.records) == 50
     assert report.stanley_violations == []
     for record in report.records:
@@ -324,13 +317,24 @@ def test_conjecture_scan_small_run():
 
 
 def test_conjecture_scan_deterministic():
-    a = conjecture_scan(default_params(5), count=30, seed=4, sdepth_poset_cap=None)
-    b = conjecture_scan(default_params(5), count=30, seed=4, sdepth_poset_cap=None)
+    a = conjecture_scan(5, count=30, seed=4, sdepth_poset_cap=None)
+    b = conjecture_scan(5, count=30, seed=4, sdepth_poset_cap=None)
     assert a == b
 
 
+def test_conjecture_scan_records_hold_their_instances():
+    # Each record carries the drawn instance itself, so analyzing it again
+    # gives the record's own depths and Stanley depth.
+    report = conjecture_scan(4, count=20, seed=3)
+    assert len(report.records) == 20
+    for record in report.records:
+        again = analyze(record.instance)
+        assert again.depth == record.depth
+        assert again.sdepth == record.sdepth
+
+
 def test_conjecture_scan_respects_poset_cap():
-    report = conjecture_scan(default_params(6), count=40, seed=2, sdepth_poset_cap=5)
+    report = conjecture_scan(6, count=40, seed=2, sdepth_poset_cap=5)
     for record in report.records:
         if record.index in report.skipped_sdepth:
             assert record.sdepth is None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from functools import reduce
 from operator import or_
 
@@ -25,7 +26,6 @@ from sqfdepth import (
     validate_pair,
 )
 from sqfdepth.certificates import RANK_IDENTITY_HOLDS, Conclusion
-from sqfdepth.generate import default_params
 from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
 from sqfdepth.monomials import support_of
 from sqfdepth.strands import strand_rank
@@ -60,8 +60,7 @@ def fuzz_instances(n_values=(3, 4, 5), per_n=15, seed=31):
     out = []
     for n in n_values:
         rng = random.Random(seed * 10 + n)
-        params = default_params(n)
-        out.extend(random_instance(params, rng) for _ in range(per_n))
+        out.extend(random_instance(n, rng) for _ in range(per_n))
     return out
 
 
@@ -306,7 +305,7 @@ def test_a_run_on_one_poset_leaves_the_next_one_fresh(monkeypatch):
     rng = random.Random(5)
     for n in (3, 4, 5, 6):
         for _ in range(25):
-            pairs.append((random_instance(default_params(n), rng), random_instance(default_params(n), rng)))
+            pairs.append((random_instance(n, rng), random_instance(n, rng)))
     for inst_a, inst_b in pairs:
         expected = _fresh_results(inst_b, SCREEN_FIELDS)
         poset_a = enumerate_quotient(inst_a)
@@ -343,7 +342,7 @@ def test_strand_homology_lies_in_the_taylor_allowance():
         census_instances(3)
         + hypothesis_violating_instances()
         + [rp2_cone_instance(), paper_instance(), paper_instance_jprime()]
-        + [random_instance(default_params(n), rng) for n in (3, 4, 5, 6) for _ in range(20)]
+        + [random_instance(n, rng) for n in (3, 4, 5, 6) for _ in range(20)]
     )
     nonzero = [
         (inst, a.mask, i)
@@ -384,12 +383,12 @@ def _spy_on_bareiss(monkeypatch) -> list[int]:
 
 
 def test_bareiss_call_count_gate(monkeypatch):
-    # Six default_params(8) instances from seed 7: analyze over Q and GF(2)
+    # Six 8-variable instances from seed 7: analyze over Q and GF(2)
     # made 1536 Bareiss calls before the GF(2) screen and the shared rank
     # cache, 20 with them, and none once a Q rank is certified from GF(2)
     # wherever either end of its map is exact mod 2.
     rng = random.Random(7)
-    instances = [random_instance(default_params(8), rng) for _ in range(6)]
+    instances = [random_instance(8, rng) for _ in range(6)]
     calls = _spy_on_bareiss(monkeypatch)
     for inst in instances:
         assert analyze(inst, fields=(RATIONALS, GF2), sdepth_poset_cap=0).consistent
@@ -428,7 +427,7 @@ def test_boundary_rows_are_built_once_and_only_for_a_rank(monkeypatch):
     # Building every map of every visited strand up front made 4,160 row
     # builds, 1,634 of them with an empty side, for 3,709 rank calls here.
     rng = random.Random(11)
-    instances = [random_instance(default_params(n), rng) for n in (5, 6, 7, 8) for _ in range(8)]
+    instances = [random_instance(n, rng) for n in (5, 6, 7, 8) for _ in range(8)]
     builds: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     rank_calls: list[str] = []
     build = strands_module._boundary_rows
@@ -454,3 +453,15 @@ def test_boundary_rows_are_built_once_and_only_for_a_rank(monkeypatch):
     keys = [(id(source), id(target)) for source, target in builds]
     assert len(set(keys)) == len(keys)
     assert 0 < len(builds) <= len(rank_calls)
+
+
+@pytest.mark.parametrize("a", [-3, -7, 1 << 4, 0b11111, 2.5, True, "15", None])
+def test_build_strand_rejects_a_multidegree_that_is_not_a_support_mask(a):
+    # The paper instance has n = 4.  Unchecked, a negative mask sends the
+    # boundary rows of its strand into an endless loop and a mask of 2^4 or
+    # more builds a shifted strand, so only build_strand is called here.
+    poset = enumerate_quotient(paper_instance())
+    with pytest.raises(InputError, match=f"^multidegree {re.escape(repr(a))} is not a support mask below 2\\^4$"):
+        build_strand(poset, a)
+    assert build_strand(poset, 0).bases == ((),)
+    assert build_strand(poset, 0b1111).multidegree == 0b1111
