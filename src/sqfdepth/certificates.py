@@ -95,7 +95,7 @@ def check_base_drop(poset: PosetLayers) -> Certificate:
     injectivity by a rank surplus, so depth <= d; with the standing lower
     bound this is equality.
     """
-    d = poset.instance.d
+    d = PosetLayers.require(poset).instance.d
     r_d, r_d1 = poset.rho(d), poset.rho(d + 1)
     conclusions = ()
     if r_d > r_d1:
@@ -115,7 +115,8 @@ def check_alternating_drop(poset: PosetLayers) -> list[Certificate]:
     depth >= t and the criterion forces equality); the equality conclusion
     is recorded as conditional on an independent depth >= t.
     """
-    n, d = poset.instance.n, poset.instance.d
+    inst = PosetLayers.require(poset).instance
+    n, d = inst.n, inst.d
     alpha = poset.alpha_table()
     out = []
     for t in range(d, n + 1):
@@ -140,7 +141,7 @@ def check_alternating_drop(poset: PosetLayers) -> list[Certificate]:
 
 def check_principal_gap(poset: PosetLayers) -> Certificate:
     """Principal I with rho_{d+1} exceeding rho_{d+2} + 1 pins depth to d + 1."""
-    inst = poset.instance
+    inst = PosetLayers.require(poset).instance
     d = inst.d
     s, q = poset.rho(d + 1), poset.rho(d + 2)
     principal = len(inst.gens_i) == 1
@@ -164,7 +165,7 @@ def check_layer_sandwich(poset: PosetLayers, field: FieldSpec, depth: int) -> Ce
     rho_{d+2} < alpha_{d+1}, i.e. ``alternating_drop(t=d+1)``.  Either way
     depth <= d+1, which is what a failing sandwich concludes.
     """
-    d = poset.instance.d
+    d = PosetLayers.require(poset).instance.d
     r_d, r_d1, r_d2 = poset.rho(d), poset.rho(d + 1), poset.rho(d + 2)
     conclusions = ()
     if depth >= d + 2:
@@ -202,7 +203,8 @@ def check_rank_split(poset: PosetLayers, field: FieldSpec, depth: int) -> list[C
     GF(2) ranks alone; Bareiss runs only on a map between two layers that
     both carry GF(2) homology.
     """
-    n, d = poset.instance.n, poset.instance.d
+    inst = PosetLayers.require(poset).instance
+    n, d = inst.n, inst.d
     full = build_strand(poset, (1 << n) - 1)
     out = []
     for i in range(0, n - d):
@@ -233,7 +235,7 @@ def check_rank_split(poset: PosetLayers, field: FieldSpec, depth: int) -> list[C
 def counting_certificates(poset: PosetLayers) -> list[Certificate]:
     """The certificates read off rho and alpha alone, in report order."""
     return [
-        check_lower_bound(poset.instance),
+        check_lower_bound(PosetLayers.require(poset).instance),
         check_base_drop(poset),
         *check_alternating_drop(poset),
         check_principal_gap(poset),

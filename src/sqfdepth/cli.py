@@ -1,10 +1,11 @@
 """Command-line interface: analyze, depth, bounds, sdepth, strands, scan.
 
-Reports are JSON on stdout; human-readable tables go to stderr under
---pretty.  This module shapes every JSON document the CLI prints; the
-report types it reads have no JSON methods.  Exit codes: 0 ok, 2
-parse/validation error, 3 internal inconsistency (a cross-check between a
-fired certificate and the exact depth failed, which indicates a bug, not
+Each command handler returns its exit code and its JSON document and
+prints nothing; :func:`main` prints the document on stdout, compact or,
+under --pretty, indented.  This module shapes every JSON document the CLI
+prints; the report types it reads have no JSON methods.  Exit codes: 0 ok,
+2 parse/validation error, 3 internal inconsistency (a cross-check between
+a fired certificate and the exact depth failed, which indicates a bug, not
 bad input).
 """
 
@@ -43,12 +44,6 @@ def _read_instance(path: str) -> QuotientInstance:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return parse_instance(text)
-
-
-def _emit(doc: dict, pretty_lines: list[str] | None = None) -> None:
-    print(json.dumps(doc, sort_keys=True))
-    if pretty_lines:
-        print("\n".join(pretty_lines), file=sys.stderr)
 
 
 def _instance_doc(inst: QuotientInstance) -> dict:
@@ -93,64 +88,39 @@ def report_to_json(report: AnalysisReport) -> dict:
     }
 
 
-def _pretty_report(report: AnalysisReport) -> list[str]:
-    inst = report.instance
-    lines = [f"d = {inst.d}   hypothesis: {'yes' if inst.hypothesis_flag else 'NO'}"]
-    lines.append("  t    rho  alpha")
-    for t in sorted(report.rho):
-        alpha = report.alpha.get(t)
-        lines.append(f"{t:3d} {report.rho[t]:6d} {alpha if alpha is not None else '':>6}")
-    fired = [c for c in report.certificates if c.fired]
-    lines.append("fired certificates:")
-    for c in fired:
-        where = f" over {c.field.label}" if c.field else ""
-        lines.append(f"  {c.kind}(t={c.t}){where}: " + ", ".join(
-            f"{conc.kind}{'' if conc.value is None else f'({conc.value})'}" for conc in c.conclusions
-        ))
-    lines.append("depth: " + ", ".join(f"{k}={v}" for k, v in sorted(report.depth.items())))
-    if report.sdepth is not None:
-        lines.append(f"sdepth: {report.sdepth}")
-    lines.append("consistent" if report.consistent else "INCONSISTENT")
-    return lines
-
-
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[int, dict]:
     inst = _read_instance(args.instance)
     fields = _field_args(args.field, (RATIONALS, GF2))
     report = analyze(inst, fields=fields, sdepth_poset_cap=args.max_sdepth_poset)
-    _emit(report_to_json(report), _pretty_report(report) if args.pretty else None)
-    return EXIT_OK if report.consistent else EXIT_INCONSISTENT
+    return EXIT_OK if report.consistent else EXIT_INCONSISTENT, report_to_json(report)
 
 
-def _cmd_depth(args) -> int:
+def _cmd_depth(args) -> tuple[int, dict]:
     inst = _read_instance(args.instance)
     fields = _field_args(args.field, (RATIONALS,))
     depths = exact_depth_multi(enumerate_quotient(inst), fields)
-    _emit({**_instance_doc(inst), "depth": {f.label: v for f, v in depths.items()}})
-    return EXIT_OK
+    return EXIT_OK, {**_instance_doc(inst), "depth": {f.label: v for f, v in depths.items()}}
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[int, dict]:
     inst = _read_instance(args.instance)
     poset = enumerate_quotient(inst)
     certs = counting_certificates(poset)
-    _emit({
+    return EXIT_OK, {
         **_instance_doc(inst),
         "rho": {str(t): v for t, v in poset.rho_table().items()},
         "alpha": {str(t): v for t, v in poset.alpha_table().items()},
         "certificates": [_certificate_json(c) for c in certs],
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_sdepth(args) -> int:
+def _cmd_sdepth(args) -> tuple[int, dict]:
     inst = _read_instance(args.instance)
     value, witness = stanley_depth(enumerate_quotient(inst))
-    _emit({**_instance_doc(inst), "sdepth": value, "witness": _witness_json(witness)})
-    return EXIT_OK
+    return EXIT_OK, {**_instance_doc(inst), "sdepth": value, "witness": _witness_json(witness)}
 
 
-def _cmd_strands(args) -> int:
+def _cmd_strands(args) -> tuple[int, dict]:
     inst = _read_instance(args.instance)
     n = inst.n
     if args.multidegree is not None:
@@ -174,19 +144,18 @@ def _cmd_strands(args) -> int:
             "row_labels": [str(m) for m in bases[i - 1]],
             "col_labels": [str(m) for m in bases[i]],
         }
-    _emit({
+    return EXIT_OK, {
         "instance": instance_to_json(inst),
         "multidegree": list(a.support),
         "bases": {str(i): [list(m.support) for m in row] for i, row in bases.items()},
         "boundaries": boundaries,
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[int, dict]:
     report = conjecture_scan(args.n, args.count, args.seed, args.max_sdepth_poset)
-    _emit({**asdict(report), "records": [{**asdict(r), **_instance_doc(r.instance)} for r in report.records]})
-    return EXIT_OK
+    records = [{**asdict(r), **_instance_doc(r.instance)} for r in report.records]
+    return EXIT_OK, {**asdict(report), "records": records}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sqfdepth",
         description="Depth and Stanley depth analysis for quotients of square-free monomial ideals.",
     )
-    parser.add_argument("--pretty", action="store_true", help="print human-readable tables to stderr")
+    parser.add_argument("--pretty", action="store_true", help="indent the JSON document")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full report: counts, certificates, depth, sdepth")
@@ -240,13 +209,15 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code, doc = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InternalConsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    print(json.dumps(doc, sort_keys=True, indent=2 if args.pretty else None))
+    return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import InputError
 from .monomials import QuotientInstance, check_variable_count, minimalize, validate_pair
 
 
@@ -24,9 +25,12 @@ def random_instance(n: int, rng: random.Random) -> QuotientInstance:
     I has 1..min(4, n) generators, each of degree 1..max(1, n-1).  J has
     0..4 draws, each a multiple of a random minimal generator g of I of
     degree deg g + 1..n; a draw on a g of degree n is skipped.  An n outside
-    the ``monomials`` rule raises :class:`InputError` before the first draw.
+    the ``monomials`` rule, or an rng that is not a :class:`random.Random`,
+    raises :class:`InputError` before the first draw.
     """
     check_variable_count(n)
+    if not isinstance(rng, random.Random):
+        raise InputError(f"rng must be a random.Random, got {rng!r}")
     variables = range(1, n + 1)
     gens_i = []
     for _ in range(rng.randint(1, min(4, n))):

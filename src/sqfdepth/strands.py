@@ -103,7 +103,7 @@ def build_strand(poset: PosetLayers, a: int) -> StrandComplex:
     ``a`` that is not an int in 0..2^n - 1 (bools included) raises
     :class:`InputError`.
     """
-    n = poset.instance.n
+    n = PosetLayers.require(poset).instance.n
     if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < 1 << n:
         raise InputError(f"multidegree {a!r} is not a support mask below 2^{n}")
     size = a.bit_count()
@@ -205,7 +205,7 @@ def exact_depth_multi(poset: PosetLayers, fields: Sequence[FieldSpec]) -> dict[F
     field_list = list(dict.fromkeys(field_list))
     if not field_list:
         raise InputError("need at least one field")
-    inst = poset.instance
+    inst = PosetLayers.require(poset).instance
     n, d = inst.n, inst.d
     best = {f: -1 for f in field_list}
     for size in range(n, 0, -1):

@@ -140,11 +140,31 @@ def test_cli_analyze_jprime_with_fields(tmp_path, capsys):
     assert 2 in fired
 
 
-def test_cli_analyze_pretty_goes_to_stderr(tmp_path, capsys):
-    code, out, err = run_cli(tmp_path, capsys, "--pretty", "analyze", instance_text=PAPER)
-    assert code == 0
-    json.loads(out)
-    assert "depth" in err
+PRETTY_CALLS = {
+    "analyze": (("analyze",), PAPER),
+    "depth": (("depth",), PAPER),
+    "bounds": (("bounds",), PAPER),
+    "sdepth": (("sdepth",), PAPER),
+    "strands": (("strands",), PAPER),
+    "scan": (("scan", "--n", "4", "--count", "3"), None),
+}
+
+
+@pytest.mark.parametrize("command", list(PRETTY_CALLS))
+def test_cli_pretty_indents_the_same_document(tmp_path, capsys, command):
+    argv, text = PRETTY_CALLS[command]
+    code, out, err = run_cli(tmp_path, capsys, *argv, instance_text=text)
+    pretty_code, pretty_out, pretty_err = run_cli(tmp_path, capsys, "--pretty", *argv, instance_text=text)
+    assert (pretty_code, err, pretty_err) == (code, "", "")
+    assert out.count("\n") == 1
+    assert pretty_out.count("\n") > 1
+    assert json.loads(pretty_out) == json.loads(out)
+
+
+def test_cli_pretty_keeps_a_bad_field_an_error(tmp_path, capsys):
+    code, out, err = run_cli(tmp_path, capsys, "--pretty", "analyze", "--field", "gf:4", instance_text=PAPER)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_cli_depth(tmp_path, capsys):
@@ -273,7 +293,7 @@ def test_cli_outputs_are_pinned(tmp_path, capsys):
         ("analyze",): "248f7ba2451c49097842275d169845bcfb9cde1a126b90cfda2c1c9bbabf042d",
         ("analyze", "--field", "q", "--field", "gf:2", "--field", "gf:3"):
             "af3d8726fca3cf22274faab90e5aea001e56e79a00a58b7fdd73450984326f01",
-        ("--pretty", "analyze"): "d87f96ba53eafd2400a086298ce527389369e93003240b635518935a16f27703",
+        ("--pretty", "analyze"): "6512c9554c0c36e09543db83c144cde1528003d52f72a045ddde4e8a57d7dd29",
         ("bounds",): "d3e4f97adf7dbe906101fcc0309e3a771ad4e3a79847d5bb3a97dc7d9e60a782",
         ("depth", "--field", "q", "--field", "gf:2", "--field", "gf:3"):
             "f526324f6fa0fb2de75ad2883c5778efb71e157ac482d1feb18dccc1835704ef",

@@ -223,3 +223,20 @@ def test_only_the_cli_writes_instance_documents():
         if isinstance(node, ast.Call) and "instance_to_json" in _referenced(node.func)
     }
     assert callers == {"cli.py"}
+
+
+def test_main_is_the_one_stdout_writer():
+    # Command handlers return their document and main prints it, compact or
+    # indented; a print elsewhere would be a second output path that --pretty
+    # and the exit-code handling never see.
+    prints, stdout = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                    prints.append(path.name)
+                    if not any(k.arg == "file" for k in node.keywords):
+                        stdout.append(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    assert set(prints) == {"cli.py"}
+    assert stdout == ["cli.py:main"]

@@ -136,6 +136,20 @@ def test_every_entry_point_applies_the_n_rule(n, entry):
     assert str(info.value) == (message if location is None else f"n: {message}")
 
 
+@pytest.mark.parametrize("rng", [5, None])
+def test_random_instance_rejects_an_rng_that_is_not_a_random(rng):
+    with pytest.raises(InputError) as info:
+        random_instance(4, rng)
+    assert str(info.value) == f"rng must be a random.Random, got {rng!r}"
+
+
+def test_random_instance_takes_a_random_subclass():
+    class Seeded(random.Random):
+        pass
+
+    assert random_instance(4, Seeded(5)) == random_instance(4, random.Random(5))
+
+
 @pytest.mark.parametrize("entry", list(N_ENTRY_POINTS))
 def test_every_entry_point_accepts_n_at_both_ends(entry):
     for n in (1, MAX_VARIABLES):

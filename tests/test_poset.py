@@ -7,11 +7,22 @@ import random
 import pytest
 
 from sqfdepth import (
+    GF2,
     InputError,
     analyze,
+    build_strand,
     canonical_key,
+    check_alternating_drop,
+    check_base_drop,
+    check_layer_sandwich,
+    check_principal_gap,
+    check_rank_split,
+    counting_certificates,
     enumerate_quotient,
+    exact_depth_multi,
+    partition_exists,
     random_instance,
+    stanley_depth,
     validate_pair,
 )
 
@@ -112,3 +123,28 @@ def test_enumerate_quotient_and_analyze_reject_what_is_not_an_instance(value):
         with pytest.raises(InputError) as info:
             entry(value)
         assert str(info.value) == f"expected a QuotientInstance, got {value!r}"
+
+
+# Each stage that takes a poset, called with its other arguments valid.
+POSET_STAGES = {
+    "build_strand": lambda p: build_strand(p, 0b1111),
+    "exact_depth_multi": lambda p: exact_depth_multi(p, (GF2,)),
+    "counting_certificates": counting_certificates,
+    "check_base_drop": check_base_drop,
+    "check_alternating_drop": check_alternating_drop,
+    "check_principal_gap": check_principal_gap,
+    "check_layer_sandwich": lambda p: check_layer_sandwich(p, GF2, 3),
+    "check_rank_split": lambda p: check_rank_split(p, GF2, 3),
+    "partition_exists": lambda p: partition_exists(p, 2),
+    "stanley_depth": stanley_depth,
+}
+
+
+@pytest.mark.parametrize("stage", list(POSET_STAGES))
+def test_poset_stages_reject_what_is_not_a_poset(stage):
+    inst = paper_instance()
+    POSET_STAGES[stage](enumerate_quotient(inst))
+    for value in (inst, None):
+        with pytest.raises(InputError) as info:
+            POSET_STAGES[stage](value)
+        assert str(info.value) == f"expected a PosetLayers, got {value!r}"
