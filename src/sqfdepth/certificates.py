@@ -197,11 +197,7 @@ def check_rank_split(poset: PosetLayers, field: FieldSpec, depth: int) -> list[C
     basis is the degree-(d+i) layer, so r is read off it.  Ranks come from
     :func:`strand_rank`, through the poset's rank memo: every rank that
     :func:`exact_depth_multi` already computed on the full strand of this
-    poset is reused, so only the missing ones build their rows.  Over Q a
-    rank is taken from GF(2) whenever the GF(2) homology vanishes at either
-    end of its map, so on a full strand that is exact mod 2 the split costs
-    GF(2) ranks alone; Bareiss runs only on a map between two layers that
-    both carry GF(2) homology.
+    poset is reused, so only the missing ones build their rows.
     """
     inst = PosetLayers.require(poset).instance
     n, d = inst.n, inst.d

@@ -34,7 +34,9 @@ def _parse_generators(n: int, raw: Any, key: str) -> list[int]:
 
 
 def parse_instance(text: str) -> QuotientInstance:
-    """Parse and validate an instance document; errors carry a field location."""
+    """Parse and validate an instance document (str, bytes or bytearray); errors carry a field location."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise InputError(f"expected the instance document as str, bytes or bytearray, got {text!r}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

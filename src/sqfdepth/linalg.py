@@ -1,9 +1,9 @@
 """Exact rank computation for small dense integer matrices.
 
-Ranks over the rationals are computed by fraction-free (integer-preserving)
-elimination; the test suite cross-validates it against an independent route
-on exact Fractions.  Ranks over prime fields use modular elimination, with a
-bitset fast path for GF(2).
+:meth:`FieldSpec.rank` is the one place that picks an elimination for a
+field: fraction-free (integer-preserving) Bareiss over the rationals, which
+the test suite cross-validates against an independent route on exact
+Fractions, a bitset route over GF(2), and modular elimination over an odd p.
 
 The matrices of interest have entries in {-1, 0, +1}, but fraction-free
 intermediate values are minors of the input and can grow, so everything
@@ -61,6 +61,8 @@ class FieldSpec:
     @classmethod
     def parse(cls, text: str) -> FieldSpec:
         """Parse a field label: "q" or "gf:<p>"."""
+        if not isinstance(text, str):
+            raise InputError(f"expected a field label string, got {text!r}")
         if text == "q":
             return cls()
         if text.startswith("gf:"):
@@ -71,6 +73,12 @@ class FieldSpec:
                 raise InputError(f"bad prime in field spec {text!r}")
             return cls(int(digits))
         raise InputError(f"unknown field spec {text!r}; expected 'q' or 'gf:<p>'")
+
+    def rank(self, entries: Sequence[Sequence[int]]) -> int:
+        """Rank of the integer matrix over this field, by the field's elimination route."""
+        if self.p is None:
+            return rank_bareiss(entries)
+        return rank_gf2(entries) if self.p == 2 else rank_mod_p(entries, self.p)
 
 
 RATIONALS = FieldSpec()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -69,6 +69,8 @@ class Monomial:
     def from_support(cls, n: int, indices: Iterable[int]) -> Monomial:
         """Build a monomial from 1-based variable indices (duplicates rejected)."""
         check_variable_count(n)
+        if not isinstance(indices, Iterable):
+            raise InputError(f"expected an iterable of variable indices, got {indices!r}")
         mask = 0
         for j in indices:
             if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= n:
@@ -129,12 +131,15 @@ class QuotientInstance:
 def validate_pair(n: int, gens_i: Iterable[int], gens_j: Iterable[int]) -> QuotientInstance:
     """Minimalize two lists of generator support masks and build a validated quotient instance.
 
-    Rejects: n outside the :func:`check_variable_count` rule, a generator that is not an
-    int mask below 2^n (bools included), J not contained in I (naming the
-    offending generator), J equal to I (empty quotient), and instances where
-    the constant monomial lies in the quotient (d would be 0).
+    Rejects: n outside the :func:`check_variable_count` rule, generators that are not an
+    iterable, a generator that is not an int mask below 2^n (bools included), J not
+    contained in I (naming the offending generator), J equal to I (empty quotient), and
+    instances where the constant monomial lies in the quotient (d would be 0).
     """
     check_variable_count(n)
+    for name, gens in (("I", gens_i), ("J", gens_j)):
+        if not isinstance(gens, Iterable):
+            raise InputError(f"expected an iterable of generator masks for {name}, got {gens!r}")
     gens_i, gens_j = list(gens_i), list(gens_j)
     for g in gens_i + gens_j:
         if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < 1 << n:

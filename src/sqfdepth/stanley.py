@@ -91,13 +91,17 @@ def verify_partition(inst: QuotientInstance, partition: IntervalPartition) -> Pa
     bottom and top, so a top or an inner point escaping the poset is caught
     even though valid endpoints make that impossible.  The poset is
     enumerated afresh from the instance, so the check does not rely on the
-    enumeration the search was given.
+    enumeration the search was given.  A ``partition`` that is not an
+    :class:`IntervalPartition` of :class:`Interval` values raises :class:`InputError`.
     """
     elements = enumerate_quotient(inst).elements()
+    if not isinstance(partition, IntervalPartition):
+        raise InputError(f"expected an IntervalPartition, got {partition!r}")
     poset_masks = set(elements)
     covered: set[int] = set()
-    min_top = None
     for iv in partition.intervals:
+        if not isinstance(iv, Interval):
+            raise InputError(f"expected an Interval, got {iv!r}")
         if iv.bottom.n != inst.n or iv.top.n != inst.n:
             return PartitionCheck(False, f"interval [{iv.bottom}, {iv.top}] has wrong ambient")
         if iv.bottom.mask & ~iv.top.mask:
@@ -122,11 +126,10 @@ def verify_partition(inst: QuotientInstance, partition: IntervalPartition) -> Pa
             if sub == 0:
                 break
             sub = (sub - 1) & between
-        top_deg = iv.top.degree
-        min_top = top_deg if min_top is None else min(min_top, top_deg)
     if len(covered) != len(elements):
         missing = next(m for m in elements if m not in covered)
         return PartitionCheck(False, f"element {Monomial(inst.n, missing)} is not covered")
+    min_top = min(iv.top.degree for iv in partition.intervals)
     if min_top != partition.sdepth_value:
         return PartitionCheck(
             False,

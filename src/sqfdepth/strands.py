@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalConsistencyError
-from .linalg import GF2, FieldSpec, rank_bareiss, rank_gf2, rank_mod_p
+from .linalg import GF2, FieldSpec
 from .monomials import ideal_supports
 from .poset import PosetLayers, RankCache
 
@@ -59,10 +59,6 @@ class StrandComplex:
         if 0 <= i < len(self.bases):
             return self.bases[i]
         return ()
-
-    @property
-    def is_empty(self) -> bool:
-        return all(not row for row in self.bases)
 
     def chain_degrees(self) -> range:
         return range(len(self.bases))
@@ -117,10 +113,10 @@ def build_strand(poset: PosetLayers, a: int) -> StrandComplex:
 def strand_rank(strand: StrandComplex, i: int, field: FieldSpec) -> int:
     """Rank over ``field`` of the map d_i leaving chain degree i, memoized in ``strand.ranks``.
 
-    GF(2) ranks use the bitset route and odd primes modular elimination.  A
-    map with an empty source or target has rank 0 and its rows are never
-    built.  Over Q the rank is certified from GF(2) ranks wherever it can be,
-    and fraction-free Bareiss runs only on the maps that are left:
+    A map with an empty source or target has rank 0 and its rows are never
+    built.  Over a prime field the rank is :meth:`FieldSpec.rank` of the
+    rows.  Over Q it is certified from GF(2) ranks wherever it can be, and
+    ``RATIONALS.rank`` (fraction-free Bareiss) runs only on the maps left:
 
     * Reducing an integer matrix mod 2 creates no nonzero minor, so
       rank_2(d) <= rank_Q(d) <= min(rows, cols) for every map d.  A GF(2)
@@ -144,14 +140,12 @@ def strand_rank(strand: StrandComplex, i: int, field: FieldSpec) -> int:
     short = min(len(strand.basis(i - 1)), len(strand.basis(i)))
     if short == 0:
         r = 0
-    elif field.p == 2:
-        r = rank_gf2(strand.entries(i))
     elif field.p is not None:
-        r = rank_mod_p(strand.entries(i), field.p)
+        r = field.rank(strand.entries(i))
     else:
         r = strand_rank(strand, i, GF2)
         if r < short and homology_dim(strand, i, GF2) and homology_dim(strand, i - 1, GF2):
-            r = rank_bareiss(strand.entries(i))
+            r = field.rank(strand.entries(i))
     strand.ranks[key] = r
     return r
 
@@ -184,12 +178,9 @@ def exact_depth_multi(poset: PosetLayers, fields: Sequence[FieldSpec]) -> dict[F
     canonical order; each size's supports in I come from
     :func:`ideal_supports` as the scan reaches it.
     Within a strand only the chain degrees above the field's running maximum
-    can matter; they are visited from the top down and the first one with
-    nonzero homology ends the strand for that field.  Over Q a degree that is
-    exact over GF(2) certifies the rational ranks of both maps at its ends
-    (see :func:`strand_rank`), so it comes out exact over Q without any
-    rational elimination.  Odd primes are ranked directly by modular
-    elimination.
+    can matter; they are visited from the top down, skipping those with an
+    empty basis, and the first one with nonzero homology ends the strand for
+    that field.  Ranks come from :func:`strand_rank`.
 
     Every rank computed is stored in ``poset.ranks``, so a later
     :func:`check_rank_split` on the same poset reuses the ranks of the full
@@ -214,16 +205,11 @@ def exact_depth_multi(poset: PosetLayers, fields: Sequence[FieldSpec]) -> dict[F
             break
         for mask in ideal_supports(n, size, inst.gens_i, ()):
             strand = build_strand(poset, mask)
-            if strand.is_empty:
-                continue
             for f in field_list:
                 for i in range(bound, best[f], -1):
-                    if not strand.basis(i):
-                        continue
-                    if homology_dim(strand, i, f):
+                    if strand.basis(i) and homology_dim(strand, i, f):
                         best[f] = i
                         break
-    for f, top in best.items():
-        if top < 0:
-            raise InternalConsistencyError("empty homology scan on a validated instance")
+    if min(best.values()) < 0:
+        raise InternalConsistencyError("empty homology scan on a validated instance")
     return {f: n - top for f, top in best.items()}

@@ -3,7 +3,9 @@
 The multidegree and partition oracles deliberately avoid the package's
 strand builder and partition search: the multidegree oracle works on
 arbitrary exponent vectors (not just square-free ones) and the partition
-oracle enumerates every interval partition outright.  The unscreened depth
+oracle enumerates every interval partition outright.  The local-cohomology
+oracle computes depth by a second construction, Hochster's formula on
+relative links, with its own enumeration and Gaussian elimination.  The unscreened depth
 scan is the reference route for the package's screened scan, the
 untruncated exact-cover search the reference route for its Stanley search,
 and Gaussian elimination on Fractions the reference route for Bareiss.
@@ -29,7 +31,7 @@ import pkgutil
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
@@ -51,8 +53,7 @@ from sqfdepth import (
     instance_to_json,
     validate_pair,
 )
-from sqfdepth.linalg import rank_bareiss, rank_gf2, rank_mod_p
-from sqfdepth.strands import strand_rank
+from sqfdepth.strands import homology_dim
 
 
 GF3 = FieldSpec(3)
@@ -184,17 +185,9 @@ def transpose(m: SignMatrix) -> SignMatrix:
     return SignMatrix(m.cols, m.rows, flipped)
 
 
-def _raw_rank(entries, field: FieldSpec) -> int:
-    if field.p is None:
-        return rank_bareiss(entries)
-    if field.p == 2:
-        return rank_gf2(entries)
-    return rank_mod_p(entries, field.p)
-
-
 def rank(m: SignMatrix, field: FieldSpec = RATIONALS) -> int:
     """The rank of m with entries reduced into the given field."""
-    return _raw_rank(m.entries, field)
+    return field.rank(m.entries)
 
 
 def boundary_sign(f: Monomial, b: Monomial, ambient: Monomial) -> int:
@@ -216,27 +209,19 @@ def boundary_sign(f: Monomial, b: Monomial, ambient: Monomial) -> int:
     return 1 if pos % 2 else -1
 
 
-def rank_fraction_gauss(entries: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by plain Gaussian elimination on exact Fractions.
-
-    Independent of :func:`rank_bareiss`; used as the cross-validation route.
-    """
-    m = [[Fraction(e) for e in r] for r in entries]
+def _gauss_rank(entries: Sequence[Sequence[int]], p: int | None) -> int:
+    """Rank by plain Gaussian elimination: on exact Fractions when p is None, else on residues mod p."""
+    m = [[Fraction(e) if p is None else e % p for e in r] for r in entries]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     rank = 0
     for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if m[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, nr) if m[r][col]), None)
         if piv is None:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
+        m[rank], m[piv] = m[piv], m[rank]
         mp = m[rank]
-        inv = 1 / mp[col]
+        inv = 1 / mp[col] if p is None else pow(mp[col], -1, p)
         for r in range(rank + 1, nr):
             f = m[r][col]
             if f:
@@ -244,10 +229,20 @@ def rank_fraction_gauss(entries: Sequence[Sequence[int]]) -> int:
                 mr = m[r]
                 for c in range(col, nc):
                     mr[c] -= mult * mp[c]
+                if p is not None:
+                    m[r] = [e % p for e in mr]
         rank += 1
         if rank == nr:
             break
     return rank
+
+
+def rank_fraction_gauss(entries: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals by plain Gaussian elimination on exact Fractions.
+
+    Independent of the package's Bareiss route; used as the cross-validation route.
+    """
+    return _gauss_rank(entries, None)
 
 
 def rank_pair_check(m: SignMatrix, field_a: FieldSpec = RATIONALS, field_b: FieldSpec = GF2) -> tuple[int, int]:
@@ -292,21 +287,12 @@ def all_strands(inst: QuotientInstance) -> Iterator[StrandComplex]:
         if not ideal_contains(inst.gens_i, mask):
             continue
         strand = build_strand(poset, mask)
-        if not strand.is_empty:
+        if any(strand.bases):
             yield strand
 
 
 def _strand_homology(strand: StrandComplex, field: FieldSpec) -> dict[int, int]:
-    dims = {}
-    for i in strand.chain_degrees():
-        if strand.basis(i):
-            dim = len(strand.basis(i)) - strand_rank(strand, i, field) - strand_rank(strand, i + 1, field)
-            if dim < 0:
-                raise InternalConsistencyError(
-                    f"negative homology dimension {dim} at {strand.multidegree}, chain degree {i}"
-                )
-            dims[i] = dim
-    return dims
+    return {i: homology_dim(strand, i, field) for i in strand.chain_degrees() if strand.basis(i)}
 
 
 def strand_homology(inst: QuotientInstance, a: Monomial, field: FieldSpec = RATIONALS) -> dict[int, int]:
@@ -390,7 +376,7 @@ def brute_multidegree_homology(
     ranks = [0] * (len(bases) + 1)
     for i in range(1, len(bases)):
         if bases[i] and bases[i - 1]:
-            ranks[i] = _raw_rank(boundary_entries(i), field)
+            ranks[i] = field.rank(boundary_entries(i))
     dims = {}
     for i, row in enumerate(bases):
         if row:
@@ -401,10 +387,9 @@ def brute_multidegree_homology(
 
 
 def unscreened_depth_multi(inst: QuotientInstance, fields) -> dict[FieldSpec, int]:
-    """Depth per field with every map of every nonempty strand ranked in that field.
+    """Depth per field with every map of every nonempty strand ranked by ``FieldSpec.rank``.
 
-    Bareiss over Q, the bitset route over GF(2), modular elimination over odd
-    primes: no GF(2) screen, no shared rank cache and no pruning of the scan.
+    No GF(2) screen, no shared rank cache and no pruning of the scan.
     """
     best = {f: -1 for f in fields}
     for strand in all_strands(inst):
@@ -414,25 +399,70 @@ def unscreened_depth_multi(inst: QuotientInstance, fields) -> dict[FieldSpec, in
             for i in range(1, top + 1):
                 m = boundary(strand, i)
                 if m.rows and m.cols:
-                    ranks[i] = _raw_rank(m.entries, f)
+                    ranks[i] = f.rank(m.entries)
             for i in range(top + 1):
                 if strand.basis(i) and len(strand.basis(i)) - ranks[i] - ranks[i + 1] > 0:
                     best[f] = max(best[f], i)
     return {f: inst.n - top for f, top in best.items()}
 
 
-def brute_depth_all_multidegrees(
-    inst: QuotientInstance, max_exponent: int, field: FieldSpec
-) -> int:
-    """Depth via the full multidegree scan with exponents in 0..max_exponent."""
-    top = -1
-    for exponents in product(range(max_exponent + 1), repeat=inst.n):
-        dims = brute_multidegree_homology(inst, exponents, field)
-        for i, dim in dims.items():
-            if dim:
-                top = max(top, i)
-    assert top >= 0
-    return inst.n - top
+def local_cohomology_depth(inst: QuotientInstance, field: FieldSpec) -> int:
+    """Depth of I/J from Hochster's formula for its local cohomology, independent of the strand scan.
+
+    P, the square-free monomials in I but not in J, is found here by testing
+    all 2^n supports.  For a support F of [n], the local cohomology of I/J in
+    degree -F has, in cohomological degree |F| + 1 + j, the dimension of the
+    reduced homology H~_j of the relative complex link(F) of the supports G
+    of [n] \\ F whose union with F lies in P: chains are graded by |G|, with
+    G = {} in degree -1, and the boundary drops one vertex of G, signed by
+    its position in G, keeping a term only if its union with F stays in P.
+    So depth = min |F| + 1 + j over the nonzero H~_j.  F ranges over every
+    support, not only over P: a support below I can have a nonempty link.
+    Supports are visited by size, and the scan stops once |F| reaches the
+    running minimum, as j >= -1.  Ranks come from :func:`_gauss_rank`, so
+    nothing here shares code with the package's strands, poset or
+    elimination routes.
+    """
+    n, full = inst.n, (1 << inst.n) - 1
+    in_p = [ideal_contains(inst.gens_i, s) and not ideal_contains(inst.gens_j, s) for s in range(full + 1)]
+    best = n + 1
+    for f in sorted(range(full + 1), key=int.bit_count):
+        size = f.bit_count()
+        if size >= best:
+            break
+        rest = full & ~f
+        faces: list[list[int]] = [[] for _ in range(rest.bit_count() + 1)]  # link(F) by |G|
+        g = rest
+        while True:
+            if in_p[f | g]:
+                faces[g.bit_count()].append(g)
+            if not g:
+                break
+            g = (g - 1) & rest
+        # ranks[k]: rank of the boundary leaving the faces of size k
+        ranks = [0] + [_link_boundary_rank(faces[k], faces[k - 1], field) for k in range(1, len(faces))] + [0]
+        for k, layer in enumerate(faces):
+            if size + k >= best:
+                break
+            if len(layer) - ranks[k] - ranks[k + 1]:
+                best = size + k
+                break
+    assert best <= n, "no nonzero local cohomology on a validated instance"
+    return best
+
+
+def _link_boundary_rank(source: list[int], target: list[int], field: FieldSpec) -> int:
+    if not source or not target:
+        return 0
+    index = {g: r for r, g in enumerate(target)}
+    rows = [[0] * len(source) for _ in target]
+    for c, g in enumerate(source):
+        bits = [1 << j for j in range(g.bit_length()) if g >> j & 1]
+        for pos, bit in enumerate(bits):
+            r = index.get(g ^ bit)
+            if r is not None:
+                rows[r][c] = -1 if pos % 2 else 1
+    return _gauss_rank(rows, field.p)
 
 
 def brute_stanley_depth(inst: QuotientInstance) -> int:

@@ -84,6 +84,19 @@ def test_parse_instance_errors():
         assert info.value.location == location, text
 
 
+@pytest.mark.parametrize("text", [None, 5, ["{}"], {"n": 4}])
+def test_parse_instance_rejects_a_document_that_is_not_text(text):
+    with pytest.raises(InputError) as info:
+        parse_instance(text)
+    assert str(info.value) == f"expected the instance document as str, bytes or bytearray, got {text!r}"
+    assert info.value.location is None
+
+
+@pytest.mark.parametrize("text", [PAPER, PAPER.encode(), bytearray(PAPER.encode())])
+def test_parse_instance_takes_str_bytes_and_bytearray(text):
+    assert parse_instance(text) == parse_instance(PAPER)
+
+
 def test_serialize_roundtrip_on_fuzz():
     rng = random.Random(3)
     for n in (3, 4, 5, 6):

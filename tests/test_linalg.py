@@ -23,6 +23,13 @@ def test_field_spec_labels_and_parse():
         FieldSpec.parse("r")
 
 
+@pytest.mark.parametrize("text", [None, 2, b"q", ["q"]])
+def test_field_spec_parse_rejects_a_label_that_is_not_a_string(text):
+    with pytest.raises(InputError) as info:
+        FieldSpec.parse(text)
+    assert str(info.value) == f"expected a field label string, got {text!r}"
+
+
 @pytest.mark.parametrize("p", [3.0, 2.0, "3", True, False])
 def test_field_spec_rejects_sizes_that_are_not_ints(p):
     with pytest.raises(InputError, match="field size must be an int"):
@@ -105,6 +112,15 @@ def test_prime_field_rank_never_exceeds_rational_rank():
         assert rank_gf2(entries) <= rq
         assert rank_mod_p(entries, 3) <= rq
         assert rank_mod_p(entries, 5) <= rq
+
+
+def test_field_rank_takes_the_route_of_its_field():
+    rng = random.Random(23)
+    for _ in range(40):
+        entries = _random_pm_matrix(rng, rng.randint(1, 25), rng.randint(1, 25))
+        assert RATIONALS.rank(entries) == rank_bareiss(entries)
+        assert GF2.rank(entries) == rank_gf2(entries)
+        assert FieldSpec(3).rank(entries) == rank_mod_p(entries, 3)
 
 
 def test_rank_invariant_under_transpose():

@@ -31,8 +31,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_module_level_imports_are_used():
-    paths = sorted(SRC.glob("*.py"))
-    assert paths
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert {path.parent for path in paths} == {SRC, TESTS}
     assert [hit for path in paths for hit in _unused_imports(path)] == []
 
 
@@ -240,3 +240,23 @@ def test_main_is_the_one_stdout_writer():
                         stdout.append(f"{path.name}:{getattr(top, 'name', '<module>')}")
     assert set(prints) == {"cli.py"}
     assert stdout == ["cli.py:main"]
+
+
+def test_the_field_picks_its_elimination():
+    # FieldSpec.rank is the one map from a field to its elimination route.  A
+    # route named outside linalg.py would be a second dispatch that a new
+    # field, or a change of route, could leave behind.
+    routes = {"rank_bareiss", "rank_gf2", "rank_mod_p"}
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                names = {node.name}
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = {node.id if isinstance(node, ast.Name) else node.attr}
+            else:
+                continue
+            named += [f"{path.name} {name}" for name in names & routes]
+    assert named == []

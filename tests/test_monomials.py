@@ -53,6 +53,13 @@ def test_from_support_rejects_bad_indices():
         Monomial.from_support(3, [1, 1])
 
 
+@pytest.mark.parametrize("indices", [5, None, 2.0])
+def test_from_support_rejects_indices_that_are_not_an_iterable(indices):
+    with pytest.raises(InputError) as info:
+        Monomial.from_support(4, indices)
+    assert str(info.value) == f"expected an iterable of variable indices, got {indices!r}"
+
+
 def test_minimalize_examples():
     out = minimalize([mono(3, 1).mask, mono(3, 1, 2).mask, mono(3, 3).mask])
     assert [support_of(g) for g in out] == [(1,), (3,)]
@@ -111,6 +118,18 @@ def test_validate_pair_rejects_equal_ideals():
 def test_validate_pair_rejects_generators_that_are_not_masks(gens_i, gens_j):
     with pytest.raises(InputError, match="is not a support mask below 2\\^3"):
         validate_pair(3, gens_i, gens_j)
+
+
+@pytest.mark.parametrize("gens_i, gens_j, name, bad", [
+    (5, [], "I", 5),
+    ([1], 5, "J", 5),
+    (None, [], "I", None),
+    ([1], None, "J", None),
+])
+def test_validate_pair_rejects_generators_that_are_not_an_iterable(gens_i, gens_j, name, bad):
+    with pytest.raises(InputError) as info:
+        validate_pair(4, gens_i, gens_j)
+    assert str(info.value) == f"expected an iterable of generator masks for {name}, got {bad!r}"
 
 
 # Every entry point that takes an ambient variable count applies the one rule

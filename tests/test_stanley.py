@@ -64,6 +64,21 @@ def test_verify_partition_accepts_hand_witness():
     assert len(interval_members(partition.intervals[0], inst)) == 4
 
 
+@pytest.mark.parametrize("partition, message", [
+    (None, "expected an IntervalPartition, got None"),
+    ((), "expected an IntervalPartition, got ()"),
+    (IntervalPartition(intervals=(None,), sdepth_value=3), "expected an Interval, got None"),
+    (
+        IntervalPartition(intervals=((mono(4, 1), mono(4, 1, 2, 3)),), sdepth_value=3),
+        "expected an Interval, got (Monomial(n=4, mask=1), Monomial(n=4, mask=7))",
+    ),
+])
+def test_verify_partition_rejects_what_is_not_a_partition_of_intervals(partition, message):
+    with pytest.raises(InputError) as info:
+        verify_partition(paper_instance(), partition)
+    assert str(info.value) == message
+
+
 def test_verify_partition_rejects_uncovered_element():
     inst = paper_instance()
     partition = IntervalPartition(

@@ -42,6 +42,7 @@ from oracles import (
     from_rows,
     homology_profile,
     hypothesis_violating_instances,
+    local_cohomology_depth,
     mask,
     mono,
     paper_instance,
@@ -97,7 +98,7 @@ def test_strand_at_multidegree_x1x4():
 
 def test_empty_multidegree_strand_is_empty():
     strand = build_strand(enumerate_quotient(paper_instance()), 0)
-    assert strand.is_empty
+    assert not any(strand.bases)
 
 
 def test_paper_full_strand_is_exact_but_x1x3_carries_homology():
@@ -204,7 +205,7 @@ def test_strand_locality_against_restricted_instance():
         for mask in range(1, 1 << inst.n):
             a = Monomial(inst.n, mask)
             strand = build_strand(enumerate_quotient(inst), mask)
-            if strand.is_empty or mask == (1 << inst.n) - 1:
+            if not any(strand.bases) or mask == (1 << inst.n) - 1:
                 continue
             try:
                 sub = _restrict(inst, a)
@@ -240,6 +241,27 @@ def test_screened_depth_matches_unscreened_reference():
     instances = fuzz_instances() + hypothesis_violating_instances() + [rp2_cone_instance()]
     for inst in instances:
         assert exact_depth_multi(enumerate_quotient(inst), SCREEN_FIELDS) == unscreened_depth_multi(inst, SCREEN_FIELDS), inst
+
+
+def test_depth_matches_the_local_cohomology_oracle():
+    # Hochster's formula on relative links shares no enumeration, strand or
+    # elimination code with the package's depth scan.
+    instances = (
+        [inst for n in (1, 2, 3) for inst in census_instances(n)]
+        + hypothesis_violating_instances()
+        + [rp2_cone_instance()]
+    )
+    for inst in instances:
+        depths = exact_depth_multi(enumerate_quotient(inst), SCREEN_FIELDS)
+        assert {f: local_cohomology_depth(inst, f) for f in SCREEN_FIELDS} == depths, inst
+    assert [local_cohomology_depth(rp2_cone_instance(), f) for f in SCREEN_FIELDS] == [4, 3, 4]
+
+
+def test_depth_matches_the_local_cohomology_oracle_on_every_quotient_in_four_variables():
+    instances = census_instances(4)
+    assert len(instances) == 7246
+    for inst in instances:
+        assert exact_depth(inst, GF2) == local_cohomology_depth(inst, GF2), inst
 
 
 def test_certified_rational_ranks_match_bareiss():
