@@ -166,7 +166,16 @@ def ideal_supports(n: int, t: int, gens_i: Sequence[int], gens_j: Sequence[int])
     canonical order within a degree, and keeps those that some generator of
     ``gens_i`` divides (g & ~mask == 0) and no generator of ``gens_j`` does; at
     desk scale this is at most 2^n subsets and needs no duplicate handling.
+
+    A support is tested only against the generators of degree at most t, in
+    both lists.  This is sound: g divides the support mask m only if g is a
+    subset of m, and then deg g <= deg m = t, so a generator of higher degree
+    can never divide any support of this degree.  Each list is filtered once
+    per call and keeps its order, so ``any`` visits the same divisors in the
+    same order and the output is unchanged.
     """
+    gens_i = [g for g in gens_i if g.bit_count() <= t]
+    gens_j = [g for g in gens_j if g.bit_count() <= t]
     bits = [1 << j for j in range(n)]
     for combo in itertools.combinations(bits, t):
         mask = sum(combo)

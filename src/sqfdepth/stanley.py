@@ -51,6 +51,7 @@ witness.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -92,16 +93,22 @@ def verify_partition(inst: QuotientInstance, partition: IntervalPartition) -> Pa
     even though valid endpoints make that impossible.  The poset is
     enumerated afresh from the instance, so the check does not rely on the
     enumeration the search was given.  A ``partition`` that is not an
-    :class:`IntervalPartition` of :class:`Interval` values raises :class:`InputError`.
+    :class:`IntervalPartition` holding a sequence of :class:`Interval` values
+    with :class:`Monomial` ends raises :class:`InputError`; the parts are
+    checked here, where an outside partition enters, and not when built.
     """
     elements = enumerate_quotient(inst).elements()
     if not isinstance(partition, IntervalPartition):
         raise InputError(f"expected an IntervalPartition, got {partition!r}")
+    if not isinstance(partition.intervals, Sequence):
+        raise InputError(f"expected a sequence of Intervals, got {partition.intervals!r}")
     poset_masks = set(elements)
     covered: set[int] = set()
     for iv in partition.intervals:
         if not isinstance(iv, Interval):
             raise InputError(f"expected an Interval, got {iv!r}")
+        if not isinstance(iv.bottom, Monomial) or not isinstance(iv.top, Monomial):
+            raise InputError(f"expected an Interval with Monomial ends, got {iv!r}")
         if iv.bottom.n != inst.n or iv.top.n != inst.n:
             return PartitionCheck(False, f"interval [{iv.bottom}, {iv.top}] has wrong ambient")
         if iv.bottom.mask & ~iv.top.mask:

@@ -187,18 +187,47 @@ def test_validate_pair_rejects_unit_ideal():
 
 
 def test_ideal_supports_match_a_filter_of_all_subsets():
-    # Seeded generator lists, neither minimal nor nested, and an empty J each time.
+    # Seeded generator lists, neither minimal nor nested, then a band quotient
+    # (I all 2-sets, J all 5-sets at n = 7), and an empty J each time.
     rng = random.Random(12)
-    for n in range(1, 9):
-        for _ in range(12):
-            gens_i = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
-            gens_j = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
-            for t in range(n + 1):
-                subsets = [mask(n, *c) for c in itertools.combinations(range(1, n + 1), t)]
-                assert subsets == sorted(subsets, key=canonical_key)
-                for js in (gens_j, []):
-                    want = [m for m in subsets if ideal_contains(gens_i, m) and not ideal_contains(js, m)]
-                    assert list(ideal_supports(n, t, gens_i, js)) == want, (n, t, gens_i, js)
+    cases = [
+        (n, [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))],
+         [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))])
+        for n in range(1, 9) for _ in range(12)
+    ]
+    cases.append((7, [mask(7, *c) for c in itertools.combinations(range(1, 8), 2)],
+                  [mask(7, *c) for c in itertools.combinations(range(1, 8), 5)]))
+    for n, gens_i, gens_j in cases:
+        for t in range(n + 1):
+            subsets = [mask(n, *c) for c in itertools.combinations(range(1, n + 1), t)]
+            assert subsets == sorted(subsets, key=canonical_key)
+            for js in (gens_j, []):
+                want = [m for m in subsets if ideal_contains(gens_i, m) and not ideal_contains(js, m)]
+                assert list(ideal_supports(n, t, gens_i, js)) == want, (n, t, gens_i, js)
+
+
+def test_ideal_supports_tests_no_generator_above_the_degree():
+    # A generator of degree above t cannot divide a degree-t support, so the
+    # walk never tests one; each generator logs every & it takes part in.
+    tested = []
+
+    class Logged(int):
+        def __and__(self, other):
+            tested.append(int(self))
+            return int(self) & other
+
+        __rand__ = __and__
+
+    n = 6
+    gens_i = [mask(n, 1, 2), mask(n, 3, 4, 5, 6), mask(n, 2, 5)]
+    gens_j = [mask(n, 1, 2, 3), mask(n, 2, 4, 5, 6)]
+    for t in range(n + 1):
+        want = list(ideal_supports(n, t, gens_i, gens_j))
+        tested.clear()
+        got = list(ideal_supports(n, t, [Logged(g) for g in gens_i], [Logged(g) for g in gens_j]))
+        assert got == want
+        assert all(g.bit_count() <= t for g in tested), (t, sorted(set(tested)))
+        assert bool(tested) == (t >= 2), t
 
 
 def test_hypothesis_flag_false_when_j_has_degree_d_generator():

@@ -72,6 +72,16 @@ def test_verify_partition_accepts_hand_witness():
         IntervalPartition(intervals=((mono(4, 1), mono(4, 1, 2, 3)),), sdepth_value=3),
         "expected an Interval, got (Monomial(n=4, mask=1), Monomial(n=4, mask=7))",
     ),
+    # Interval and IntervalPartition check nothing when built; the checker does.
+    (IntervalPartition(intervals=5, sdepth_value=3), "expected a sequence of Intervals, got 5"),
+    (
+        IntervalPartition(intervals=(Interval(1, 2),), sdepth_value=3),
+        "expected an Interval with Monomial ends, got Interval(bottom=1, top=2)",
+    ),
+    (
+        IntervalPartition(intervals=(Interval(mono(4, 1), 7),), sdepth_value=3),
+        "expected an Interval with Monomial ends, got Interval(bottom=Monomial(n=4, mask=1), top=7)",
+    ),
 ])
 def test_verify_partition_rejects_what_is_not_a_partition_of_intervals(partition, message):
     with pytest.raises(InputError) as info:
