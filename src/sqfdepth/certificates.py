@@ -2,12 +2,13 @@
 
 Each checker evaluates one combinatorial criterion against an instance and
 returns a Certificate recording the numbers it consumed and what they
-conclude about depth; a certificate has fired when it concludes anything.
-Certificates are data, not booleans, so a failing cross-check is
-diagnosable from the report alone.  No checker judges its own result:
-:func:`analyze` checks every conclusion against the exact depths, so a
-criterion that fails where it must hold stays in the report as a violated
-depth bound.
+conclude about depth; every conclusion is a bound on depth
+(``depth_at_least``, ``depth_at_most`` or ``depth_equals``), and a
+certificate has fired when it concludes one.  No checker reads the exact
+depth: :func:`analyze` alone computes it and checks every conclusion
+against it, so a criterion that fails where it must hold stays in the
+report as a violated depth bound.  Certificates are data, not booleans, so
+a failing cross-check is diagnosable from the report alone.
 
 Kinds:
 
@@ -16,14 +17,11 @@ Kinds:
 * ``alternating_drop``  rho_{t+1} < alpha_t      =>  depth <= t, and = t once
                         depth >= t is known independently
 * ``principal_gap``     I principal, rho_{d+1} > rho_{d+2} + 1  =>  depth = d+1
-* ``layer_sandwich``    depth >= d+2  =>  rho_d <= rho_{d+1} <= rho_d + rho_{d+2};
-                        a failing sandwich concludes depth <= d+1, exactly
-                        where ``base_drop`` or ``alternating_drop(t=d+1)``
-                        fires
+* ``layer_sandwich``    rho_d <= rho_{d+1} <= rho_d + rho_{d+2} failing
+                        =>  depth <= d+1, exactly where ``base_drop`` or
+                        ``alternating_drop(t=d+1)`` fires
 * ``rank_split``        a surplus of rho_{d+i} over the ranks of the two
-                        adjacent full-strand boundary maps  =>  depth <= d+i;
-                        with no surplus and depth > d+i the layer splits
-                        as the sum of those ranks
+                        adjacent full-strand boundary maps  =>  depth <= d+i
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ RANK_SPLIT = "rank_split"
 DEPTH_AT_LEAST = "depth_at_least"
 DEPTH_AT_MOST = "depth_at_most"
 DEPTH_EQUALS = "depth_equals"
-INEQUALITY_HOLDS = "inequality_holds"
-RANK_IDENTITY_HOLDS = "rank_identity_holds"
 
 # Posets larger than this skip the Stanley search by default.
 SDEPTH_POSET_CAP = 40
@@ -155,43 +151,43 @@ def check_principal_gap(poset: PosetLayers) -> Certificate:
     )
 
 
-def check_layer_sandwich(poset: PosetLayers, field: FieldSpec, depth: int) -> Certificate:
-    """With depth >= d + 2, the middle layer is sandwiched:
-    rho_d <= rho_{d+1} <= rho_d + rho_{d+2}, so rho_{d+2} = 0 forces equality
-    on the left.
+def check_layer_sandwich(poset: PosetLayers) -> Certificate:
+    """A middle layer outside rho_d <= rho_{d+1} <= rho_d + rho_{d+2} caps depth at d + 1.
 
-    The sandwich fails exactly where a drop fires: rho_{d+1} < rho_d is
-    ``base_drop``, and rho_{d+1} > rho_d + rho_{d+2} is
-    rho_{d+2} < alpha_{d+1}, i.e. ``alternating_drop(t=d+1)``.  Either way
-    depth <= d+1, which is what a failing sandwich concludes.
+    With depth >= d + 2 the sandwich holds (and rho_{d+2} = 0 forces
+    equality on the left), so a failing sandwich concludes depth <= d+1 and
+    a holding one concludes nothing.  It fails exactly where a drop fires:
+    rho_{d+1} < rho_d is ``base_drop``, and rho_{d+1} > rho_d + rho_{d+2} is
+    rho_{d+2} < alpha_{d+1}, i.e. ``alternating_drop(t=d+1)``; both already
+    conclude depth <= d+1.  Read off the layer counts alone, so the
+    certificate has no field and :func:`analyze` checks it against the depth
+    over every field: it flags exactly a failing sandwich with depth >= d+2.
     """
     d = PosetLayers.require(poset).instance.d
     r_d, r_d1, r_d2 = poset.rho(d), poset.rho(d + 1), poset.rho(d + 2)
-    conclusions = ()
-    if depth >= d + 2:
-        holds = r_d <= r_d1 <= r_d + r_d2
-        conclusions = (Conclusion(INEQUALITY_HOLDS) if holds else Conclusion(DEPTH_AT_MOST, d + 1),)
+    holds = r_d <= r_d1 <= r_d + r_d2
     return Certificate(
         kind=LAYER_SANDWICH,
         t=d + 1,
-        field=field,
-        numbers={"depth": depth, "rho_d": r_d, "rho_d_plus_1": r_d1, "rho_d_plus_2": r_d2},
-        conclusions=conclusions,
+        numbers={"rho_d": r_d, "rho_d_plus_1": r_d1, "rho_d_plus_2": r_d2},
+        conclusions=() if holds else (Conclusion(DEPTH_AT_MOST, d + 1),),
     )
 
 
-def check_rank_split(poset: PosetLayers, field: FieldSpec, depth: int) -> list[Certificate]:
+def check_rank_split(poset: PosetLayers, field: FieldSpec) -> list[Certificate]:
     """Rank decomposition of each full-strand layer, one certificate per offset i.
 
     At the full multidegree, the boundary leaving the degree-(d+i) layer
     sits at chain degree n-d-i and the one entering it at chain degree
     n-d-i+1.  The surplus r - rank_in - rank_out of the layer size
     r = rho_{d+i} over those two ranks is the full strand's homology at
-    chain degree n-d-i, so a nonzero surplus certifies depth <= d+i at any
-    depth; with no surplus and depth > d+i the layer splits exactly as the
-    sum of the two ranks.  :func:`homology_dim` raises on a negative
-    surplus, so an impossible r < rank_in + rank_out never passes as a
-    split.
+    chain degree n-d-i, so a nonzero surplus concludes depth <= d+i and no
+    surplus concludes nothing; :func:`analyze` flags exactly a surplus with
+    depth > d+i.  Where depth > d+i the layer splits exactly as the sum of
+    the two ranks, which the numbers record.  :func:`homology_dim` raises on
+    a negative surplus, so an impossible r < rank_in + rank_out never passes
+    as a split.  ``field`` must be a :class:`FieldSpec`
+    (:meth:`FieldSpec.require`).
 
     The full strand is built here, bases only; its chain-degree-(n-d-i)
     basis is the degree-(d+i) layer, so r is read off it.  Ranks come from
@@ -200,16 +196,13 @@ def check_rank_split(poset: PosetLayers, field: FieldSpec, depth: int) -> list[C
     poset is reused, so only the missing ones build their rows.
     """
     inst = PosetLayers.require(poset).instance
+    field = FieldSpec.require(field)
     n, d = inst.n, inst.d
     full = build_strand(poset, (1 << n) - 1)
     out = []
     for i in range(0, n - d):
         j = n - d - i
-        conclusions: tuple[Conclusion, ...] = ()
-        if homology_dim(full, j, field):
-            conclusions = (Conclusion(DEPTH_AT_MOST, d + i),)
-        elif depth > d + i:
-            conclusions = (Conclusion(RANK_IDENTITY_HOLDS),)
+        surplus = homology_dim(full, j, field)
         out.append(
             Certificate(
                 kind=RANK_SPLIT,
@@ -220,9 +213,8 @@ def check_rank_split(poset: PosetLayers, field: FieldSpec, depth: int) -> list[C
                     "r": len(full.basis(j)),
                     "rank_in": strand_rank(full, j + 1, field),
                     "rank_out": strand_rank(full, j, field),
-                    "depth": depth,
                 },
-                conclusions=conclusions,
+                conclusions=(Conclusion(DEPTH_AT_MOST, d + i),) if surplus else (),
             )
         )
     return out
@@ -235,6 +227,7 @@ def counting_certificates(poset: PosetLayers) -> list[Certificate]:
         check_base_drop(poset),
         *check_alternating_drop(poset),
         check_principal_gap(poset),
+        check_layer_sandwich(poset),
     ]
 
 
@@ -256,6 +249,15 @@ class AnalysisReport:
 
 
 def _conclusion_violations(cert: Certificate, depths: dict[str, int]) -> list[str]:
+    """Every depth bound of ``cert`` that the exact depths contradict.
+
+    A certificate with a field is checked against the depth over that field,
+    one read off the layer counts alone against the depth over every field;
+    a conditional equality only where its premise holds.  A holding layer
+    sandwich and a rank split with no surplus conclude nothing, so the only
+    contradictions those two can show are a failing sandwich with
+    depth >= d+2 and a surplus with depth > d+i.
+    """
     labels = [cert.field.label] if cert.field is not None else sorted(depths)
     out = []
     for label in labels:
@@ -291,8 +293,8 @@ def analyze(
     conclusion against the exact depths; this is the only place a
     certificate is judged.  The fields are deduplicated, and a non-iterable,
     an empty list or an entry that is not a :class:`FieldSpec` rejected, by
-    :func:`exact_depth_multi`; the per-field checks run over the fields of
-    its result.  Cross-check failures are collected, never silently
+    :func:`exact_depth_multi`; the rank split runs once per field of its
+    result.  Cross-check failures are collected, never silently
     dropped; ``consistent`` is False when any were found.  The cap is
     ``None`` (no cap) or an int of at least 0, else :class:`InputError`.
     """
@@ -304,9 +306,8 @@ def analyze(
 
     certificates = counting_certificates(poset)
     findings = [c.warning for c in certificates if c.warning]
-    for f, depth_f in depths_by_field.items():
-        certificates.append(check_layer_sandwich(poset, f, depth_f))
-        certificates.extend(check_rank_split(poset, f, depth_f))
+    for f in depths_by_field:
+        certificates.extend(check_rank_split(poset, f))
     inconsistencies = [v for cert in certificates for v in _conclusion_violations(cert, depths)]
 
     sdepth_value: int | None = None

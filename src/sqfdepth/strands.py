@@ -189,11 +189,7 @@ def exact_depth_multi(poset: PosetLayers, fields: Sequence[FieldSpec]) -> dict[F
     """
     if not isinstance(fields, Iterable):
         raise InputError(f"fields must be an iterable of FieldSpec, got {fields!r}")
-    field_list = list(fields)
-    for f in field_list:
-        if not isinstance(f, FieldSpec):
-            raise InputError(f"field {f!r} is not a FieldSpec")
-    field_list = list(dict.fromkeys(field_list))
+    field_list = list(dict.fromkeys(map(FieldSpec.require, fields)))
     if not field_list:
         raise InputError("need at least one field")
     inst = PosetLayers.require(poset).instance

@@ -120,7 +120,7 @@ def sweep() -> SweepData:
             data.inconsistencies.extend(f"{inst}: {msg}" for msg in report.inconsistencies)
             data.fired_certificates += sum(1 for c in report.certificates if c.fired)
 
-            # criterion 4: the rank identity at every offset the depth clears
+            # criterion 4: at every offset the depth clears, no surplus and the rank identity
             for cert in report.certificates:
                 if cert.kind != RANK_SPLIT:
                     continue
@@ -128,7 +128,7 @@ def sweep() -> SweepData:
                 depth_f = report.depth[cert.field.label]
                 if depth_f > inst.d + i:
                     data.rank_split_checks += 1
-                    if not cert.fired or cert.numbers["r"] != (
+                    if cert.fired or cert.numbers["r"] != (
                         cert.numbers["rank_in"] + cert.numbers["rank_out"]
                     ):
                         data.rank_split_failures.append(f"{inst}: {cert.numbers}")

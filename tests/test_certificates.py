@@ -28,7 +28,7 @@ from sqfdepth import (
     random_instance,
     validate_pair,
 )
-from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS, INEQUALITY_HOLDS, Conclusion
+from sqfdepth.certificates import DEPTH_AT_MOST, DEPTH_EQUALS, Conclusion
 
 from oracles import (
     all_ideals,
@@ -132,19 +132,21 @@ def test_principal_gap_with_positive_q():
 
 
 def test_layer_sandwich_golden_cases():
+    # A holding sandwich concludes nothing; a failing one caps depth at d + 1.
     free = validate_pair(3, [mask(3, 1)], [])
-    depth = exact_depth(free)
-    assert depth == 3
-    cert = check_layer_sandwich(enumerate_quotient(free), RATIONALS, depth)
-    assert cert.fired
-    assert cert.numbers["rho_d"] == 1 and cert.numbers["rho_d_plus_1"] == 2
+    assert exact_depth(free) == 3
+    cert = check_layer_sandwich(enumerate_quotient(free))
+    assert not cert.fired and cert.field is None
+    assert cert.numbers == {"rho_d": 1, "rho_d_plus_1": 2, "rho_d_plus_2": 1}
 
     inst = paper_instance()
-    cert = check_layer_sandwich(enumerate_quotient(inst), RATIONALS, exact_depth(inst))
-    assert cert.fired  # 2 <= 4 <= 2 + 2, tight
+    cert = check_layer_sandwich(enumerate_quotient(inst))
+    assert not cert.fired  # 2 <= 4 <= 2 + 2, tight
 
     low = pure_powers_instance()
-    assert not check_layer_sandwich(enumerate_quotient(low), RATIONALS, exact_depth(low)).fired
+    cert = check_layer_sandwich(enumerate_quotient(low))
+    assert cert.conclusions == (Conclusion(DEPTH_AT_MOST, 2),)  # 3 > 0
+    assert exact_depth(low) == 1
 
 
 def test_layer_sandwich_fails_exactly_where_a_drop_fires():
@@ -161,24 +163,25 @@ def test_layer_sandwich_fails_exactly_where_a_drop_fires():
                 poset = PosetLayers(inst, layers)
                 drops = [check_base_drop(poset)] + [c for c in check_alternating_drop(poset) if c.t == d + 1]
                 fails = any(c.fired for c in drops)
-                expected = Conclusion(DEPTH_AT_MOST, d + 1) if fails else Conclusion(INEQUALITY_HOLDS)
-                assert check_layer_sandwich(poset, RATIONALS, d + 2).conclusions == (expected,), (n, d, counts)
+                expected = (Conclusion(DEPTH_AT_MOST, d + 1),) if fails else ()
+                assert check_layer_sandwich(poset).conclusions == expected, (n, d, counts)
                 cases += 1
     assert cases == 700
 
 
 def test_rank_split_golden_cases():
     inst = paper_instance()
-    certs = check_rank_split(enumerate_quotient(inst), RATIONALS, exact_depth(inst))
+    certs = check_rank_split(enumerate_quotient(inst), RATIONALS)
     by_i = {c.numbers["i"]: c for c in certs}
-    assert by_i[0].fired and by_i[0].numbers["r"] == 2
+    # depth 3 > d + i at i = 0, 1: no surplus, the layer splits as rank_in + rank_out
+    assert not by_i[0].fired and by_i[0].numbers["r"] == 2
     assert by_i[0].numbers["rank_in"] == 0 and by_i[0].numbers["rank_out"] == 2
-    assert by_i[1].fired and by_i[1].numbers["r"] == 4
+    assert not by_i[1].fired and by_i[1].numbers["r"] == 4
     assert by_i[1].numbers["rank_in"] == 2 and by_i[1].numbers["rank_out"] == 2
     assert not by_i[2].fired
 
     jp = paper_instance_jprime()
-    certs = check_rank_split(enumerate_quotient(jp), RATIONALS, exact_depth(jp))
+    certs = check_rank_split(enumerate_quotient(jp), RATIONALS)
     by_i = {c.numbers["i"]: c for c in certs}
     assert by_i[1].fired
     assert by_i[1].conclusions[0].kind == DEPTH_AT_MOST
@@ -190,7 +193,7 @@ def test_rank_split_exactness_form():
     for inst in fuzz_instances(per_n=10):
         for field in (RATIONALS, GF2):
             depth = exact_depth(inst, field)
-            for cert in check_rank_split(enumerate_quotient(inst), field, depth):
+            for cert in check_rank_split(enumerate_quotient(inst), field):
                 if inst.d + cert.numbers["i"] < depth:
                     r, rank_in, rank_out = (
                         cert.numbers["r"],
@@ -289,8 +292,11 @@ def test_analyze_rejects_an_empty_field_list():
 @pytest.mark.parametrize("fields", [("q",), (None,), [FieldSpec(3), "gf:2"], ([2],)])
 def test_analyze_rejects_a_field_that_is_not_a_field_spec(fields):
     bad = next(f for f in fields if not isinstance(f, FieldSpec))
-    with pytest.raises(InputError, match=f"^field {re.escape(repr(bad))} is not a FieldSpec$"):
+    message = f"^field {re.escape(repr(bad))} is not a FieldSpec$"
+    with pytest.raises(InputError, match=message):
         analyze(paper_instance(), fields=fields)
+    with pytest.raises(InputError, match=message):
+        check_rank_split(enumerate_quotient(paper_instance()), bad)
 
 
 @pytest.mark.parametrize("fields", [GF2, FieldSpec(3), 3, None])

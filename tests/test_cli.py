@@ -192,7 +192,7 @@ def test_cli_bounds_has_no_homology_keys(tmp_path, capsys):
     doc = json.loads(out)
     assert "depth" not in doc
     kinds = {c["kind"] for c in doc["certificates"]}
-    assert kinds == {"lower_bound", "base_drop", "alternating_drop", "principal_gap"}
+    assert kinds == {"lower_bound", "base_drop", "alternating_drop", "principal_gap", "layer_sandwich"}
 
 
 def test_cli_sdepth_witness_verifies(tmp_path, capsys):
@@ -303,11 +303,11 @@ def test_cli_outputs_are_pinned(tmp_path, capsys):
     texts += [serialize_instance(inst) for inst in hypothesis_violating_instances()[:60]]
     texts += INVALID_DOCUMENTS
     pinned = {
-        ("analyze",): "248f7ba2451c49097842275d169845bcfb9cde1a126b90cfda2c1c9bbabf042d",
+        ("analyze",): "af7d03a9671df633430188984c61386f872027fa0538e6a873c5ca1a71f9e95f",
         ("analyze", "--field", "q", "--field", "gf:2", "--field", "gf:3"):
-            "af3d8726fca3cf22274faab90e5aea001e56e79a00a58b7fdd73450984326f01",
-        ("--pretty", "analyze"): "6512c9554c0c36e09543db83c144cde1528003d52f72a045ddde4e8a57d7dd29",
-        ("bounds",): "d3e4f97adf7dbe906101fcc0309e3a771ad4e3a79847d5bb3a97dc7d9e60a782",
+            "e2490668ec4ecc8e5717a574e26429047196819e9be04590c74350c9be56f620",
+        ("--pretty", "analyze"): "988c7ef7420ab7c57afaa5b30964eca4d488b427063e1e670949d2a207d9905c",
+        ("bounds",): "cde7c5359e5deece30ebb571b631c33ac67aff04f9b3b2acbd3e0de155591373",
         ("depth", "--field", "q", "--field", "gf:2", "--field", "gf:3"):
             "f526324f6fa0fb2de75ad2883c5778efb71e157ac482d1feb18dccc1835704ef",
         ("sdepth",): "b8696f5d6d975c957280b8458cfc36de328b6052e9c23b1bd27d4375e7a89c91",
@@ -489,15 +489,15 @@ def test_core_functions_given_a_poset_do_not_enumerate(monkeypatch):
     calls = _spy_on_enumerate(monkeypatch)
     for poset in posets:
         inst = poset.instance
-        depths = exact_depth_multi(poset, (RATIONALS, GF2))
+        exact_depth_multi(poset, (RATIONALS, GF2))
         build_strand(poset, (1 << inst.n) - 1)
         check_base_drop(poset)
         check_alternating_drop(poset)
         check_principal_gap(poset)
         counting_certificates(poset)
-        check_layer_sandwich(poset, RATIONALS, depths[RATIONALS])
-        check_rank_split(poset, RATIONALS, depths[RATIONALS])
-        check_rank_split(poset, GF2, depths[GF2])
+        check_layer_sandwich(poset)
+        check_rank_split(poset, RATIONALS)
+        check_rank_split(poset, GF2)
         partition_exists(poset, inst.d)
         stanley_depth(poset)
     assert calls == []
@@ -522,9 +522,9 @@ def test_core_functions_given_a_poset_build_no_monomials(monkeypatch):
         depths = exact_depth_multi(poset, (RATIONALS, GF2, GF3))
         build_strand(poset, (1 << inst.n) - 1)
         counting_certificates(poset)
-        for field, depth in depths.items():
-            check_rank_split(poset, field, depth)
-            check_rank_split(enumerate_quotient(inst), field, depth)
+        for field in depths:
+            check_rank_split(poset, field)
+            check_rank_split(enumerate_quotient(inst), field)
     assert partition_exists(enumerate_quotient(instances[-1]), 3) is None
     assert built == []
 

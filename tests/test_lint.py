@@ -49,6 +49,14 @@ def _referenced(node: ast.AST) -> set[str]:
     }
 
 
+def _parameters(node: ast.AST) -> set[str]:
+    """The parameter names of a function or lambda node; empty for any other node."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return set()
+    a = node.args
+    return {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if arg}
+
+
 def test_public_names_have_a_caller():
     # A public top-level function or class of a package module must be used by
     # the package or the benchmark somewhere outside its own definition.
@@ -183,11 +191,8 @@ def test_the_rank_memo_has_one_owner():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                a = node.args
-                names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if arg]
-                if "ranks" in names:
-                    params.append(f"{path.name}:{node.lineno}")
+            if "ranks" in _parameters(node):
+                params.append(f"{path.name}:{node.lineno}")
         for top in tree.body:
             owner = getattr(top, "name", "<module>")
             for node in ast.walk(top):
@@ -260,3 +265,16 @@ def test_the_field_picks_its_elimination():
                 continue
             named += [f"{path.name} {name}" for name in names & routes]
     assert named == []
+
+
+def test_no_checker_reads_the_exact_depth():
+    # A checker concludes depth bounds from counts and ranks; analyze alone
+    # computes the exact depth and judges them.  A checker that took the depth
+    # could conclude from it, and its verdict would not be a certificate.
+    readers = [
+        f"certificates.py:{node.lineno} {getattr(node, 'name', '<lambda>')}"
+        for node in ast.walk(ast.parse((SRC / "certificates.py").read_text(encoding="utf-8")))
+        if _parameters(node) & {"depth", "depths"}
+        and getattr(node, "name", None) not in {"analyze", "_conclusion_violations"}
+    ]
+    assert readers == []

@@ -75,6 +75,33 @@ def test_minimalize_empty_is_zero_ideal():
     assert not ideal_contains(out, mono(3, 1, 2).mask)
 
 
+def test_minimalize_tests_no_two_masks_of_one_degree():
+    # A distinct mask of the same degree is never a subset, so each mask is
+    # tested only against kept masks of lower degree; each mask logs every &
+    # it takes part in, with the mask it was tested against.
+    tested = []
+
+    class Logged(int):
+        def __and__(self, other):
+            other = int(other)
+            tested.append((int(self), other if other >= 0 else ~other))
+            return int(self) & other
+
+        __rand__ = __and__
+
+    n = 6
+    pairs = [mask(n, *s) for s in itertools.combinations(range(1, n + 1), 2)]
+    gens = [mask(n, 1), mask(n, 2, 3, 4), mask(n, 4, 5, 6)] + pairs
+    random.Random(3).shuffle(gens)
+    for masks in (pairs, gens):
+        tested.clear()
+        got = minimalize([Logged(g) for g in masks])
+        assert got == minimalize(masks)
+        assert [(h, g) for h, g in tested if h.bit_count() == g.bit_count()] == []
+        assert bool(tested) == (masks is gens)
+    assert len(minimalize(gens)) == 11
+
+
 def test_ideal_contains_examples():
     j = minimalize([mono(4, 1, 4).mask])
     assert ideal_contains(j, mono(4, 1, 2, 3, 4).mask)

@@ -133,8 +133,8 @@ POSET_STAGES = {
     "check_base_drop": check_base_drop,
     "check_alternating_drop": check_alternating_drop,
     "check_principal_gap": check_principal_gap,
-    "check_layer_sandwich": lambda p: check_layer_sandwich(p, GF2, 3),
-    "check_rank_split": lambda p: check_rank_split(p, GF2, 3),
+    "check_layer_sandwich": check_layer_sandwich,
+    "check_rank_split": lambda p: check_rank_split(p, GF2),
     "partition_exists": lambda p: partition_exists(p, 2),
     "stanley_depth": stanley_depth,
 }
